@@ -10,7 +10,9 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 runtime failure. Output
 files are written atomically (temp file + rename), so a failed run leaves
 no partial outputs behind. All outputs are deterministic for a given
-scenario config and seeds; --threads only changes how fast they appear.
+scenario config and seeds. --threads is accepted and validated for
+compatibility, but starts no threads: every search runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--mode", choices=MODES, help="shorthand for --set mode=...")
     common.add_argument("--seed", type=int, help="shorthand for --set seeds=[SEED]")
-    common.add_argument("--threads", type=int, help="worker threads (never changes results)")
+    common.add_argument("--threads", type=int, help="accepted for compatibility; starts no threads")
     common.add_argument("--output-dir", metavar="DIR", help="where to write outputs")
     common.add_argument("--verbose", action="store_true", help="print extra diagnostics")
 
@@ -127,7 +129,7 @@ def _cmd_place(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
     users = assign_weights(sample.users, cfg.mode)
     search = PlacementSearch(users, cfg.system, cfg.environment)
     weights = [u.weight for u in users]
-    best = search.solve(weights, cfg.system.backhaul_mbps, threads=cfg.threads)
+    best = search.solve(weights, cfg.system.backhaul_mbps)
     result = search.result(best, weights)
     doc = {
         "version": __version__,
@@ -214,7 +216,7 @@ def _cmd_cdf(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
             users = assign_weights(sample.users, mode)
             search = PlacementSearch(users, cfg.system, cfg.environment)
             weights = [u.weight for u in users]
-            best = search.solve(weights, cfg.system.backhaul_mbps, threads=cfg.threads)
+            best = search.solve(weights, cfg.system.backhaul_mbps)
             result = search.result(best, weights)
             rates.extend(u.rate_mbps for u, s in zip(users, result.selected) if s)
         cdf = rate_cdf_from_rates(rates, cfg.rate_set_mbps)

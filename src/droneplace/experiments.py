@@ -133,6 +133,7 @@ def backhaul_sweep(
     The per-scenario geometry is precomputed once per seed and shared across
     R values; ascending R values warm-start each other's pruning (objective
     is monotone in R, so the previous optimum is always attainable).
+    ``threads`` is accepted for compatibility and starts no threads.
     """
     n_x = len(spec.backhaul_values_mbps)
     metrics = {
@@ -148,7 +149,7 @@ def backhaul_sweep(
         warm = None
         for xi in range(n_x):  # values are strictly increasing, so warm is valid
             r_cap = float(spec.backhaul_values_mbps[xi])
-            best = search.solve(weights, r_cap, threads=threads, warm_value=warm)
+            best = search.solve(weights, r_cap, warm_value=warm)
             res = search.result(best, weights, backhaul_mbps=r_cap)
             warm = res.objective
             metrics["served_count"][si, xi] = res.served_count
@@ -184,7 +185,8 @@ def robustness_eval(
     needs are recomputed at their new positions and, if the spectrum budget
     is violated, the largest consumers are dropped until it holds again
     (counted separately as resource drops). Dropped plus remaining equals the
-    original served count exactly.
+    original served count exactly. ``threads`` is accepted for compatibility
+    and starts no threads.
     """
     n_x = len(spec.displacement_values_m)
     names = ("remaining_served", "dropped_pct", "dropped_pathloss", "dropped_resource")
@@ -195,7 +197,7 @@ def robustness_eval(
         resamples.append(n_resamples)
         base = PlacementSearch(users, sys, env)
         weights = [u.weight for u in users]
-        result = base.result(base.solve(weights, sys.backhaul_mbps, threads=threads), weights)
+        result = base.result(base.solve(weights, sys.backhaul_mbps), weights)
         served_idx = np.flatnonzero(np.array(result.selected))
         n_served = len(served_idx)
         if n_served == 0:

@@ -14,20 +14,21 @@ is lexicographic, so that users can move without the drone having to:
 When the optimum serves nobody (no reachable user, or no budget) there is
 no margin to widen, and the first candidate in grid order wins.
 
-A grid scan finds the maximum objective: it prunes candidates whose
-admissible upper bound (eligible weight sum, then the fractional-relaxation
-bound) sits a strict margin below an already-evaluated candidate's exact
-objective. Such candidates provably cannot attain the maximum, so pruning -
-and any threading of the scan - never changes it. A single-threaded margin
-stage then applies steps 2 and 3.
+A best-first grid scan finds the maximum objective: candidates go by
+eligible weight sum, highest first, and are screened in blocks by an
+admissible upper bound (the fractional-relaxation bound, floored to the
+weight grid); only a candidate whose bound can beat the incumbent is solved
+exactly, and the scan stops at the first whose weight sum cannot. Pruning
+never changes the maximum, and the scan's order cannot change the result:
+a margin stage then applies steps 2 and 3 over every candidate, reading
+only the maximum from the scan. Both run on the calling thread; the
+``threads`` arguments of the public entry points start no threads.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 
@@ -39,11 +40,13 @@ from .selection import (
     SelectionResult,
     _fractional_fill,
     _greedy_value,
+    _value_grid,
     solve_bnb,
 )
 from .users import AreaBounds
 
-_CHUNK = 256
+_CHUNK = 256  # candidates per screening block
+_GEOMETRY_ROWS = 128  # grid rows per geometry block
 _SCREEN = 64  # candidates per fill screen in the margin stage
 # Fractional bounds hold each budget exactly, but the solvers accept a
 # selection up to _SEARCH_EPS over it, which can be worth weight-per-cost
@@ -173,19 +176,25 @@ class PlacementSearch:
         ux = np.array([u.x_m for u in self.users])
         uy = np.array([u.y_m for u in self.users])
         self.rates = np.array([u.rate_mbps for u in self.users])
-        # horizontal distance of every (x, y) grid row to every user
         gx = np.repeat(self.xs, len(self.ys))
         gy = np.tile(self.ys, len(self.xs))
-        dist = np.hypot(gx[:, None] - ux[None, :], gy[:, None] - uy[None, :])
-        self.eligible = []  # per altitude layer: (n_xy, n) bool
-        self.bw_need = []  # per altitude layer: (n_xy, n) MHz
-        for h in self.hs:
-            pl = pathloss_db(dist, float(h), env, sys.carrier_hz)
-            zeta = spectral_efficiency(pl, sys)
-            with np.errstate(divide="ignore"):
-                bw = np.where(zeta > 0, self.rates[None, :] / zeta, np.inf)
-            self.eligible.append(pl <= sys.pl_max_db)
-            self.bw_need.append(bw)
+        # one array per altitude layer: a single array for all layers raised
+        # the resident peak of repeated searches by about 15%, most likely
+        # because freeing one chunk that large lets the allocator keep more
+        # freed heap
+        self.eligible = [np.empty((len(gx), n), dtype=bool) for _ in self.hs]  # (n_xy, n)
+        self.bw_need = [np.empty((len(gx), n)) for _ in self.hs]  # (n_xy, n) MHz
+        # horizontal distance of every (x, y) grid row to every user, a block
+        # of rows at a time, so the pathloss temporaries stay small
+        for lo in range(0, len(gx), _GEOMETRY_ROWS):
+            rows = slice(lo, lo + _GEOMETRY_ROWS)
+            dist = np.hypot(gx[rows, None] - ux[None, :], gy[rows, None] - uy[None, :])
+            for lay, h in enumerate(self.hs):
+                pl = pathloss_db(dist, float(h), env, sys.carrier_hz)
+                zeta = spectral_efficiency(pl, sys)
+                with np.errstate(divide="ignore"):
+                    self.bw_need[lay][rows] = np.where(zeta > 0, self.rates[None, :] / zeta, np.inf)
+                self.eligible[lay][rows] = pl <= sys.pl_max_db
 
     def _candidate(self, c: int) -> Placement:
         n_h = len(self.hs)
@@ -194,13 +203,7 @@ class PlacementSearch:
         ix, iy = divmod(row, n_y)
         return Placement(float(self.xs[ix]), float(self.ys[iy]), float(self.hs[lay]))
 
-    def solve(
-        self,
-        weights,
-        backhaul_mbps: float,
-        threads: int = 1,
-        warm_value: float | None = None,
-    ):
+    def solve(self, weights, backhaul_mbps: float, warm_value: float | None = None):
         """Best placement; returns (candidate_index, served_pool_mask, selection).
 
         The grid scan finds the maximum objective; the margin stage then
@@ -216,98 +219,74 @@ class PlacementSearch:
         w = np.asarray(weights, dtype=float)
         R = float(backhaul_mbps)
         sum_w = np.stack([el @ w for el in self.eligible], axis=1)
-        best = self._scan(w, R, sum_w, threads, warm_value)
+        best = self._scan(w, R, sum_w, warm_value)
         return self._widest_margin(best, w, R, sum_w)
 
-    def _scan(self, w, R: float, sum_w, threads: int, warm_value: float | None):
-        """First candidate in grid order attaining the maximum objective.
+    def _scan(self, w, R: float, sum_w, warm_value: float | None):
+        """Some candidate attaining the maximum objective, best-first.
 
         ``sum_w`` holds each candidate's eligible weight, (n_xy, n_h).
+        Candidates go by that weight, highest first (ties in grid order),
+        and the scan stops at the first whose weight cannot beat the
+        incumbent. Each block of candidates is screened at once: a candidate
+        whose users all fit is settled outright; any other goes to
+        ``solve_bnb`` only if the smaller of its backhaul- and
+        bandwidth-side fractional fills, rounded down to the weight grid,
+        beats the incumbent. Which optimal candidate comes back does not
+        matter, since the margin stage reads only its objective. The scan
+        runs on the calling thread.
         """
         B = self.sys.bandwidth_mhz
         n_h = len(self.hs)
-        n_xy = len(self.xs) * len(self.ys)
+        q = _value_grid(w)
+        bound = sum_w.reshape(-1)
+        order = np.argsort(-bound, kind="stable")
+        by_ratio = np.lexsort((np.arange(len(w)), -(w / self.rates)))
+        w_g, r_g = w[by_ratio], self.rates[by_ratio]
 
-        # per-layer admissible summaries
-        sum_r = np.empty((n_xy, n_h))
-        sum_b = np.empty((n_xy, n_h))
-        for lay in range(n_h):
-            el = self.eligible[lay]
-            sum_r[:, lay] = el @ self.rates
-            sum_b[:, lay] = np.sum(np.where(el, self.bw_need[lay], 0.0), axis=1)
-        bound0 = sum_w.reshape(-1)
-        all_fit = (
-            (sum_r <= R + _SEARCH_EPS) & (sum_b <= B + _SEARCH_EPS)
-        ).reshape(-1)
-
-        # Skip thresholds come in two strengths. Within a chunk the scan is
-        # sequential, so a candidate whose bound merely TIES the local best
-        # can be skipped outright (replacement demands a strict improvement
-        # and ties go to the earlier candidate). The warm value and other
-        # chunks' results only promise the maximum is attained SOMEWHERE —
-        # possibly later in scan order than here — so they may only skip
-        # candidates strictly below them, or the first attaining candidate
-        # could be lost and the tie rule broken.
-        shared = [-math.inf]
+        # The warm value is attained somewhere, perhaps only by the maximum
+        # itself, so it skips just the bounds strictly below it. An incumbent
+        # also skips the bounds that merely tie it: any optimal candidate
+        # will do.
         warm = -math.inf if warm_value is None else float(warm_value)
-        lock = Lock()
-
-        def scan(lo: int, hi: int):
-            best_val = -math.inf
-            best: tuple[int, np.ndarray, SelectionResult] | None = None
-            for c in range(lo, hi):
-                cross = max(warm, shared[0])
-                skip_at = max(best_val + 0.5 * TIE_EPS, cross - 0.5 * TIE_EPS)
-                if bound0[c] <= skip_at:
+        skip_at, prune_below = warm - 0.5 * TIE_EPS, warm - 2.0 * TIE_EPS
+        best = None
+        for lo in range(0, len(order), _CHUNK):
+            blk = order[lo:lo + _CHUNK]
+            blk = blk[bound[blk] > skip_at]
+            if not len(blk):
+                break
+            rows, lays = np.divmod(blk, n_h)
+            el = np.empty((len(blk), len(w)), dtype=bool)
+            bw = np.empty((len(blk), len(w)))
+            for lay in range(n_h):
+                at = lays == lay
+                el[at] = self.eligible[lay][rows[at]]
+                bw[at] = self.bw_need[lay][rows[at]]
+            all_fit = (el @ self.rates <= R + _SEARCH_EPS) & (
+                np.sum(np.where(el, bw, 0.0), axis=1) <= B + _SEARCH_EPS
+            )
+            lp = _rate_fill(el[:, by_ratio], w_g, r_g, R)
+            # the bandwidth side only for rows the backhaul side left open
+            open_ = _grid_floor(lp + _LP_ROOM, q) > skip_at
+            lp[open_] = np.minimum(lp[open_], _bandwidth_fill(el[open_], w, bw[open_], B))
+            ub = np.minimum(_grid_floor(lp + _LP_ROOM, q), bound[blk])
+            for i in np.flatnonzero(ub > skip_at):
+                if ub[i] <= skip_at:
                     continue
-                row, lay = divmod(c, n_h)
-                mask = self.eligible[lay][row]
-                if all_fit[c]:
-                    inst = SelectionInstance(
-                        w[mask], self.rates[mask], self.bw_need[lay][row][mask], R, B
-                    )
+                mask = el[i]
+                inst = SelectionInstance(w[mask], self.rates[mask], bw[i][mask], R, B)
+                if all_fit[i]:
                     res = _select_all(inst)
                 else:
-                    bw_row = self.bw_need[lay][row][mask]
-                    lp = min(
-                        _fractional_fill(w[mask], self.rates[mask], R),
-                        _fractional_fill(w[mask], bw_row, B),
-                    )
-                    if lp <= skip_at:
-                        continue
-                    res = solve_bnb(
-                        SelectionInstance(w[mask], self.rates[mask], bw_row, R, B),
-                        prune_below=max(best_val, cross - 2.0 * TIE_EPS),
-                    )
+                    res = solve_bnb(inst, prune_below=prune_below)
                     if res is None:
                         continue
-                # require a genuine improvement: subsets at different candidates
-                # can sum to the "same" objective with ~1e-13 float noise, and
-                # ties must go to the earliest candidate in scan order
-                if res.objective > best_val + TIE_EPS:
-                    best_val = res.objective
-                    best = (c, mask, res)
-                    with lock:
-                        if best_val > shared[0]:
-                            shared[0] = best_val
-            return best
-
-        if threads <= 1:
-            winners = [scan(0, self.n_candidates)]
-        else:
-            spans = [
-                (lo, min(lo + _CHUNK, self.n_candidates))
-                for lo in range(0, self.n_candidates, _CHUNK)
-            ]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                winners = list(pool.map(lambda s: scan(*s), spans))
-
-        best = None
-        for cand in winners:
-            if cand is None:
-                continue
-            if best is None or cand[2].objective > best[2].objective + TIE_EPS:
-                best = cand
+                # subsets at different candidates can sum to the "same"
+                # objective with ~1e-13 float noise: require a genuine gain
+                if best is None or res.objective > best[2].objective + TIE_EPS:
+                    best = (int(blk[i]), mask, res)
+                    skip_at, prune_below = res.objective + 0.5 * TIE_EPS, res.objective
         if best is None:
             # only reachable when warm_value overstates what is attainable
             raise ValueError("warm_value exceeded every candidate's objective")
@@ -324,15 +303,17 @@ class PlacementSearch:
         and an early tight cut screens out most of the rest. Within a layer,
         candidates go in order of a lower bound on their own cut, until the
         bound passes the best cut found. An exact tie on the cut goes to the
-        earlier candidate in grid order. Nothing here depends on how the scan
-        was threaded. With no user served there is no margin to widen, and
-        the scan's first candidate stands.
+        earlier candidate in grid order. The result does not depend on which
+        optimal candidate the scan returned. With no user served there is no
+        margin to widen, and the first candidate in grid order stands.
         """
         winner, _, res = best
-        if res.served_count == 0:
-            return best
-        target = res.objective
         B = self.sys.bandwidth_mhz
+        if res.served_count == 0:
+            pool = self.eligible[0][0]
+            inst = SelectionInstance(w[pool], self.rates[pool], self.bw_need[0][0][pool], R, B)
+            return 0, pool, solve_bnb(inst)
+        target = res.objective
         n_h = len(self.hs)
         row, lay = divmod(winner, n_h)
         el = self.eligible[lay][row]
@@ -447,6 +428,8 @@ def _rate_fill(taken: np.ndarray, w: np.ndarray, r: np.ndarray, R: float) -> np.
     ``w`` and ``r`` are in descending weight-per-rate order; ``taken`` is a
     (rows, items) mask in that order. Row-wise twin of ``_fractional_fill``.
     """
+    if not taken.shape[1]:
+        return np.zeros(len(taken))
     cum = np.cumsum(taken * r, axis=1)
     whole = taken & (cum <= R + 1e-12)
     value = whole @ w
@@ -456,6 +439,33 @@ def _rate_fill(taken: np.ndarray, w: np.ndarray, r: np.ndarray, R: float) -> np.
     part = rest[at, j]
     room = np.maximum(R - (cum[at, j] - r[j]), 0.0)
     return value + np.where(part, w[j] * room / r[j], 0.0)
+
+
+def _bandwidth_fill(taken: np.ndarray, w: np.ndarray, b: np.ndarray, B: float) -> np.ndarray:
+    """Fractional bandwidth-knapsack value of each row's taken items.
+
+    ``b`` holds each row's own bandwidth needs, (rows, items), so each row
+    orders its items by weight per bandwidth, descending, ties by index.
+    Row-wise twin of ``_fractional_fill`` for positive costs.
+    """
+    if not taken.shape[1]:
+        return np.zeros(len(taken))
+    at = np.arange(len(taken))
+    order = np.argsort(np.where(taken, -w / b, 1.0), axis=1, kind="stable")
+    took = taken[at[:, None], order]
+    cost = np.where(took, b[at[:, None], order], np.inf)  # untaken items sort last
+    whole = took & (np.cumsum(cost, axis=1) <= B + 1e-12)
+    value = np.sum(np.where(whole, w[order], 0.0), axis=1)
+    room = np.maximum(B - np.sum(np.where(whole, cost, 0.0), axis=1), 0.0)
+    # the first item not taken whole goes in partly, if it is taken at all
+    j = np.argmax(took & ~whole, axis=1)
+    part = took[at, j] & ~whole[at, j]
+    return value + np.where(part, w[order[at, j]] * room / cost[at, j], 0.0)
+
+
+def _grid_floor(x, q: float | None):
+    """Round bounds down to the weight grid ``q`` (None: weights on no grid)."""
+    return x if q is None else q * np.floor(x / q + 1e-9)
 
 
 def _reach(w, r, b, R: float, B: float, target: float):
@@ -591,11 +601,12 @@ def optimal_placement(
 ) -> PlacementResult:
     """Best placement over the whole candidate grid.
 
-    Deterministic and independent of ``threads``: the maximum objective,
-    then the widest worst-case pathloss margin of the served set, then the
-    first candidate in grid order (see the module docstring).
+    Deterministic: the maximum objective, then the widest worst-case
+    pathloss margin of the served set, then the first candidate in grid
+    order (see the module docstring). ``threads`` is accepted for
+    compatibility; the search runs on the calling thread.
     """
     search = PlacementSearch(users, sys, env)
     weights = [u.weight for u in users]
-    best = search.solve(weights, sys.backhaul_mbps, threads=threads)
+    best = search.solve(weights, sys.backhaul_mbps)
     return search.result(best, weights)

@@ -8,6 +8,7 @@ from droneplace.placement import (
     Placement,
     PlacementSearch,
     SystemParams,
+    _bandwidth_fill,
     _rate_fill,
     candidate_grid,
     evaluate_position,
@@ -299,19 +300,62 @@ def test_exact_margin_ties_go_to_the_first_candidate():
     assert (res.placement, res.objective, res.selected) == (placement, objective, served)
 
 
+def test_margin_stage_does_not_depend_on_the_scan_winner():
+    """The scan may return any candidate attaining the maximum; the margin
+    stage must make the same choice from each of them."""
+    sys = default_system(
+        bounds=AreaBounds(0.0, 1200.0, 0.0, 1200.0),
+        grid_step_m=300.0,
+        h_max_m=400.0,
+        backhaul_mbps=6.0,
+    )
+    rng = np.random.default_rng(31)
+    for weighted in (False, True):
+        users = scattered_users(rng, 30, span=1200.0, weighted=weighted)
+        w = np.array([u.weight for u in users])
+        R, B = sys.backhaul_mbps, sys.bandwidth_mhz
+        search = PlacementSearch(users, sys, URBAN)
+        sum_w = np.stack([el @ w for el in search.eligible], axis=1)
+        n_h = len(search.hs)
+        winners = []
+        for c in range(search.n_candidates):
+            row, lay = divmod(c, n_h)
+            mask = search.eligible[lay][row]
+            res = solve_bnb(
+                SelectionInstance(w[mask], search.rates[mask], search.bw_need[lay][row][mask], R, B)
+            )
+            winners.append((c, mask, res))
+        best = max(res.objective for _, _, res in winners)
+        winners = [x for x in winners if x[2].objective >= best - 1e-9]
+        assert len(winners) > 1
+        outcomes = set()
+        for winner in winners:
+            c, pool, res = search._widest_margin(winner, w, R, sum_w)
+            outcomes.add((c, tuple(pool), res.selected, res.nodes_explored))
+        assert len(outcomes) == 1
+
+
 def test_nothing_served_keeps_the_first_candidate():
-    """With no reachable user, or no backhaul, there is no margin to widen."""
+    """With no user, no reachable user, or no backhaul, there is no margin to widen."""
     far = [User(id=0, x_m=50_000.0, y_m=50_000.0, rate_mbps=1.0)]
     near = [User(id=0, x_m=300.0, y_m=300.0, rate_mbps=1.0)]
-    for users, sys in ((far, small_system()), (near, small_system(backhaul_mbps=0.0))):
+    # in reach of the x = 600 m candidates only, not of the first one
+    aside = [User(id=0, x_m=1850.0, y_m=600.0, rate_mbps=1.0)]
+    cases = (
+        ([], small_system()),
+        (far, small_system()),
+        (near, small_system(backhaul_mbps=0.0)),
+        (aside, small_system(backhaul_mbps=0.0)),
+    )
+    for users, sys in cases:
         res = optimal_placement(users, sys, URBAN)
         assert res.served_count == 0
         assert res.placement == candidate_grid(sys)[0]
 
 
 def test_row_wise_backhaul_fill_matches_the_scalar_fill():
-    # the margin stage screens candidates with a row-wise fractional fill;
-    # _fractional_fill is its reference
+    # the scan and the margin stage screen candidates with row-wise
+    # fractional fills; _fractional_fill is their reference
     rng = np.random.default_rng(41)
     w = rng.choice([1.0, 0.1, 0.5, 1.5, 2.0], 40)
     r = rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], 40)
@@ -321,6 +365,12 @@ def test_row_wise_backhaul_fill_matches_the_scalar_fill():
     for R in (0.0, 3.0, 15.0, 100.0):
         got = _rate_fill(taken[:, order], w[order], r[order], R)
         want = [_fractional_fill(w[m], r[m], R) for m in taken]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+    # bandwidth needs differ per row, and some tie on weight per bandwidth
+    b = r * rng.choice([0.05, 0.1, 0.2, 0.4], (200, 40))
+    for B in (0.0, 0.5, 3.0, 15.0, 100.0):
+        got = _bandwidth_fill(taken, w, b, B)
+        want = [_fractional_fill(w[m], row[m], B) for m, row in zip(taken, b)]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
@@ -416,13 +466,15 @@ def test_warm_start_value_cannot_change_the_result():
     weights = [u.weight for u in users]
     search = PlacementSearch(users, sys, URBAN)
     cold = search.result(search.solve(weights, 2.0), weights, backhaul_mbps=2.0)
-    warm = search.result(
-        search.solve(weights, 2.0, warm_value=cold.objective - 1e-6),
-        weights,
-        backhaul_mbps=2.0,
-    )
-    assert warm.placement == cold.placement
-    assert warm.selected == cold.selected
+    # a sweep passes the optimum itself whenever the objective plateaus
+    for warm_value in (cold.objective - 1e-6, cold.objective):
+        warm = search.result(
+            search.solve(weights, 2.0, warm_value=warm_value),
+            weights,
+            backhaul_mbps=2.0,
+        )
+        assert warm.placement == cold.placement
+        assert warm.selected == cold.selected
 
 
 def test_system_params_validation():
