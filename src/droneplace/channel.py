@@ -125,10 +125,11 @@ def pathloss_db(horizontal_m, altitude_m, env: EnvironmentParams, carrier_hz: fl
     """Vectorized mean pathloss over arrays of horizontal distances.
 
     Same model as :func:`mean_pathloss`; used by the placement grid scan where
-    per-link ``LinkGeometry`` objects would be wasteful.
+    per-link ``LinkGeometry`` objects would be wasteful. ``altitude_m`` may be
+    an array too, broadcast against ``horizontal_m``.
     """
     r = np.asarray(horizontal_m, dtype=float)
-    h = float(altitude_m)
+    h = np.asarray(altitude_m, dtype=float)
     theta_deg = np.degrees(np.arctan2(h, r))  # arctan2 gives pi/2 at r == 0
     p = _los_probability_deg(theta_deg, env)
     d = np.hypot(r, h)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import EnvironmentParams, pathloss_db, spectral_efficiency
-from .placement import PlacementResult, PlacementSearch, SystemParams
+from .channel import EnvironmentParams, pathloss_db
+from .placement import PlacementResult, PlacementSearch, SystemParams, _bandwidth_need
 from .users import ClusterConfig, assign_weights, displace_users, sample_population
 
 MODES = ("network_centric", "user_centric")
@@ -215,9 +215,7 @@ def robustness_eval(
             dropped_pl = int(np.sum(~keep))
             # survivors' bandwidth re-check at the new positions
             rates = np.array([moved[i].rate_mbps for i in served_idx])
-            zeta = spectral_efficiency(pl, sys)
-            with np.errstate(divide="ignore"):
-                bw = np.where(zeta > 0, rates / zeta, np.inf)
+            bw = _bandwidth_need(pl, rates, sys)
             dropped_res = 0
             bw_alive = np.where(keep, bw, 0.0)
             while np.sum(bw_alive) > sys.bandwidth_mhz + 1e-9:

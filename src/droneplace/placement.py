@@ -52,6 +52,12 @@ _SCREEN = 64  # candidates per fill screen in the margin stage
 # selection up to _SEARCH_EPS over it, which can be worth weight-per-cost
 # times that much more; screens on those bounds leave this much room.
 _LP_ROOM = 1e-6
+# coverage radii sit this far past the service threshold, far above the
+# float error of a pathloss evaluation (see _coverage_radii)
+_RADIUS_MARGIN_DB = 0.01
+# halvings of the radius bracket; they only set how many links just past
+# the threshold get evaluated, never which links are eligible
+_RADIUS_BISECTIONS = 24
 
 
 @dataclass(frozen=True)
@@ -145,14 +151,58 @@ def _axis_points(lo: float, hi: float, step: float) -> np.ndarray:
     return pts
 
 
+def _grid_axes(sys: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate grid's x, y and h ticks."""
+    return (
+        _axis_points(sys.bounds.x_min_m, sys.bounds.x_max_m, sys.grid_step_m),
+        _axis_points(sys.bounds.y_min_m, sys.bounds.y_max_m, sys.grid_step_m),
+        _axis_points(sys.h_min_m, sys.h_max_m, sys.grid_step_m),
+    )
+
+
 def candidate_grid(sys: SystemParams) -> list[Placement]:
     """All candidate placements, x-major, then y, then h ascending."""
-    xs = _axis_points(sys.bounds.x_min_m, sys.bounds.x_max_m, sys.grid_step_m)
-    ys = _axis_points(sys.bounds.y_min_m, sys.bounds.y_max_m, sys.grid_step_m)
-    hs = _axis_points(sys.h_min_m, sys.h_max_m, sys.grid_step_m)
+    xs, ys, hs = _grid_axes(sys)
     return [
         Placement(float(x), float(y), float(h)) for x in xs for y in ys for h in hs
     ]
+
+
+def _bandwidth_need(pl, rates, sys: SystemParams):
+    """Bandwidth each link needs for its rate, ``rates / zeta`` in MHz.
+
+    ``zeta`` is the link's spectral efficiency at pathloss ``pl``; a link
+    with none (zeta <= 0) needs ``inf``. Every bandwidth need of the package
+    comes from here, so the same link gets the same float everywhere.
+    """
+    zeta = spectral_efficiency(pl, sys)
+    with np.errstate(divide="ignore"):
+        return np.where(zeta > 0, rates / zeta, np.inf)
+
+
+def _coverage_radii(hs, reach_m: float, sys: SystemParams, env: EnvironmentParams):
+    """Per altitude, a horizontal distance beyond which no link is served.
+
+    Bisects, for all altitudes at once, for a distance ``r_hi(h)`` whose
+    model pathloss exceeds ``pl_max_db`` by ``_RADIUS_MARGIN_DB``. Pathloss
+    rises strictly with horizontal distance (free-space loss grows, and the
+    LoS-weighted excess can only grow since ``eta_nlos_db >= eta_los_db``),
+    and its float evaluation is off by about 1e-13 dB. The bisection keeps
+    ``r_hi`` where the evaluated pathloss is over ``pl_max_db +
+    _RADIUS_MARGIN_DB``, so a link farther than ``r_hi`` evaluates more than
+    ``_RADIUS_MARGIN_DB - 2e-13`` dB over the threshold: no link that
+    ``pathloss_db(dist) <= pl_max_db`` accepts lies beyond it. Where even
+    ``reach_m``, an upper bound on every link's distance, stays within
+    threshold plus margin, the radius is ``inf``.
+    """
+    over = sys.pl_max_db + _RADIUS_MARGIN_DB
+    lo, hi = np.zeros(len(hs)), np.full(len(hs), float(reach_m))
+    bounded = pathloss_db(hi, hs, env, sys.carrier_hz) > over
+    for _ in range(_RADIUS_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        beyond = pathloss_db(mid, hs, env, sys.carrier_hz) > over
+        lo, hi = np.where(beyond, lo, mid), np.where(beyond, mid, hi)
+    return np.where(bounded, hi, np.inf)
 
 
 class PlacementSearch:
@@ -160,16 +210,17 @@ class PlacementSearch:
 
     Pathloss depends only on geometry, and per-user bandwidth need only on
     pathloss, so both are computed once per (users, radio params) and shared
-    by every backhaul value and weighting of a sweep.
+    by every backhaul value and weighting of a sweep. They are computed only
+    for the links inside each altitude layer's coverage radius
+    (:func:`_coverage_radii`); ``bw_need`` is ``inf`` wherever a user is not
+    eligible.
     """
 
     def __init__(self, users, sys: SystemParams, env: EnvironmentParams):
         self.users = list(users)
         self.sys = sys
         self.env = env
-        self.xs = _axis_points(sys.bounds.x_min_m, sys.bounds.x_max_m, sys.grid_step_m)
-        self.ys = _axis_points(sys.bounds.y_min_m, sys.bounds.y_max_m, sys.grid_step_m)
-        self.hs = _axis_points(sys.h_min_m, sys.h_max_m, sys.grid_step_m)
+        self.xs, self.ys, self.hs = _grid_axes(sys)
         self.n_candidates = len(self.xs) * len(self.ys) * len(self.hs)
 
         n = len(self.users)
@@ -178,23 +229,30 @@ class PlacementSearch:
         self.rates = np.array([u.rate_mbps for u in self.users])
         gx = np.repeat(self.xs, len(self.ys))
         gy = np.tile(self.ys, len(self.xs))
+        reach = np.hypot(np.ptp(np.append(self.xs, ux)), np.ptp(np.append(self.ys, uy)))
+        radii = _coverage_radii(self.hs, reach, sys, env)
         # one array per altitude layer: a single array for all layers raised
         # the resident peak of repeated searches by about 15%, most likely
         # because freeing one chunk that large lets the allocator keep more
         # freed heap
-        self.eligible = [np.empty((len(gx), n), dtype=bool) for _ in self.hs]  # (n_xy, n)
-        self.bw_need = [np.empty((len(gx), n)) for _ in self.hs]  # (n_xy, n) MHz
+        self.eligible = [np.zeros((len(gx), n), dtype=bool) for _ in self.hs]  # (n_xy, n)
+        self.bw_need = [np.full((len(gx), n), np.inf) for _ in self.hs]  # (n_xy, n) MHz; inf: ineligible
         # horizontal distance of every (x, y) grid row to every user, a block
-        # of rows at a time, so the pathloss temporaries stay small
+        # of rows at a time; pathloss and bandwidth need only for the links
+        # inside a layer's coverage radius, as flat indices into the block
+        block_rates = np.tile(self.rates, _GEOMETRY_ROWS)  # by flat index into a block
         for lo in range(0, len(gx), _GEOMETRY_ROWS):
             rows = slice(lo, lo + _GEOMETRY_ROWS)
-            dist = np.hypot(gx[rows, None] - ux[None, :], gy[rows, None] - uy[None, :])
+            dist = np.hypot(gx[rows, None] - ux[None, :], gy[rows, None] - uy[None, :]).ravel()
             for lay, h in enumerate(self.hs):
-                pl = pathloss_db(dist, float(h), env, sys.carrier_hz)
-                zeta = spectral_efficiency(pl, sys)
-                with np.errstate(divide="ignore"):
-                    self.bw_need[lay][rows] = np.where(zeta > 0, self.rates[None, :] / zeta, np.inf)
-                self.eligible[lay][rows] = pl <= sys.pl_max_db
+                near = np.flatnonzero(dist <= radii[lay])
+                pl = pathloss_db(dist[near], float(h), env, sys.carrier_hz)
+                ok = pl <= sys.pl_max_db
+                link = near[ok]
+                self.eligible[lay][rows].reshape(-1)[link] = True
+                self.bw_need[lay][rows].reshape(-1)[link] = _bandwidth_need(
+                    pl[ok], block_rates[link], sys
+                )
 
     def _candidate(self, c: int) -> Placement:
         n_h = len(self.hs)
@@ -562,9 +620,7 @@ def evaluate_position(users, placement: Placement, sys: SystemParams, env) -> Se
     weights = np.array([u.weight for u in users])
     dist = np.hypot(ux - placement.x_m, uy - placement.y_m)
     pl = pathloss_db(dist, placement.h_m, env, sys.carrier_hz)
-    zeta = spectral_efficiency(pl, sys)
-    with np.errstate(divide="ignore"):
-        bw = np.where(zeta > 0, rates / zeta, np.inf)
+    bw = _bandwidth_need(pl, rates, sys)
     mask = pl <= sys.pl_max_db
     inst = SelectionInstance(
         weights[mask], rates[mask], bw[mask], sys.backhaul_mbps, sys.bandwidth_mhz

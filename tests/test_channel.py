@@ -111,6 +111,11 @@ def test_pathloss_vector_matches_scalar():
     vec = pathloss_db(rs, 400.0, URBAN, F_C)
     scal = [mean_pathloss(LinkGeometry(float(r), 400.0), URBAN, F_C) for r in rs]
     np.testing.assert_allclose(vec, scal, rtol=0, atol=1e-12)
+    # altitudes broadcast too
+    hs = np.array([100.0, 250.0, 400.0])
+    grid = pathloss_db(rs[:, None], hs[None, :], URBAN, F_C)
+    scal = [[mean_pathloss(LinkGeometry(float(r), float(h)), URBAN, F_C) for h in hs] for r in rs]
+    np.testing.assert_allclose(grid, scal, rtol=0, atol=1e-12)
 
 
 def test_pathloss_matches_independent_reference():

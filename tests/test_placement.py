@@ -54,12 +54,12 @@ def small_system(**overrides) -> SystemParams:
     return default_system(**params)
 
 
-def coverage_radius_m(sys: SystemParams, h_m: float) -> float:
+def coverage_radius_m(sys: SystemParams, h_m: float, env: EnvironmentParams = URBAN) -> float:
     """Horizontal distance where pathloss crosses the service threshold."""
     lo, hi = 0.0, 20_000.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if pathloss_db(mid, h_m, URBAN, sys.carrier_hz) <= sys.pl_max_db:
+        if pathloss_db(mid, h_m, env, sys.carrier_hz) <= sys.pl_max_db:
             lo = mid
         else:
             hi = mid
@@ -177,6 +177,114 @@ def test_user_just_inside_the_threshold_is_served():
     users = [User(id=0, x_m=edge - 2.0, y_m=0.0, rate_mbps=0.1)]
     res = evaluate_position(users, Placement(0.0, 0.0, 400.0), sys, URBAN)
     assert res.selected == (True,)
+
+
+# ---------------------------------------------------------------------
+# PlacementSearch geometry
+# ---------------------------------------------------------------------
+
+
+def all_links_geometry(users, sys, env):
+    """Eligibility and bandwidth need of every (grid row, user) link per layer.
+
+    The reference formula: pathloss of every link on every layer, from the
+    same ``np.hypot`` distances, with no coverage radius. Arrays are
+    (n_xy, n), rows in grid order (x-major, then y).
+    """
+    grid = candidate_grid(sys)
+    hs = sorted({p.h_m for p in grid})
+    rows = [p for p in grid if p.h_m == hs[0]]
+    gx = np.array([p.x_m for p in rows])
+    gy = np.array([p.y_m for p in rows])
+    ux = np.array([u.x_m for u in users])
+    uy = np.array([u.y_m for u in users])
+    rates = np.array([u.rate_mbps for u in users])
+    dist = np.hypot(gx[:, None] - ux[None, :], gy[:, None] - uy[None, :])
+    out = []
+    for h in hs:
+        pl = pathloss_db(dist, h, env, sys.carrier_hz)
+        out.append((pl <= sys.pl_max_db, rates[None, :] / spectral_efficiency(pl, sys)))
+    return out
+
+
+def edge_users(sys, env, centre, rng, n_random):
+    """Users on a grid point, around each layer's coverage radius, and at random."""
+    cx, cy = centre
+    b = sys.bounds
+    offsets = (-2.0, -1e-6, 1e-6, 2.0)
+    spots = [(cx, cy)]
+    for h in sorted({p.h_m for p in candidate_grid(sys)}):
+        edge = coverage_radius_m(sys, h, env)
+        spots += [(cx + edge + d, cy) for d in offsets]
+        spots += [(cx, cy - edge - d) for d in offsets]
+    spots += [
+        (float(rng.uniform(b.x_min_m, b.x_max_m)), float(rng.uniform(b.y_min_m, b.y_max_m)))
+        for _ in range(n_random)
+    ]
+    return [
+        User(id=i, x_m=x, y_m=y, rate_mbps=float(rng.choice([0.1, 0.5, 1.0, 1.5, 2.0])))
+        for i, (x, y) in enumerate(spots)
+    ]
+
+
+SUBURBAN = EnvironmentParams(a=4.88, b=0.43, eta_los_db=0.1, eta_nlos_db=21.0)
+
+
+@pytest.mark.parametrize(
+    "case, overrides, env, centre",
+    [
+        ("default", dict(grid_step_m=500.0), URBAN, (2000.0, 2000.0)),
+        # pathloss of every link stays under the threshold: no finite radius
+        ("radius_inf", dict(grid_step_m=500.0, pl_max_db=200.0), URBAN, (2000.0, 2000.0)),
+        # the threshold sits under the pathloss straight below the lowest
+        # layer: no link is served
+        ("nothing_in_reach", dict(grid_step_m=500.0, pl_max_db=79.0), URBAN, (2000.0, 2000.0)),
+        # one layer reaches a small disk, the others nothing
+        ("lowest_layer_only", dict(grid_step_m=500.0, pl_max_db=85.0), URBAN, (2000.0, 2000.0)),
+        (
+            "suburban_3p5ghz_non_square",
+            dict(
+                carrier_hz=3.5e9,
+                pl_max_db=112.0,
+                bounds=AreaBounds(-500.0, 2500.0, 1000.0, 2800.0),
+                grid_step_m=150.0,
+                h_min_m=50.0,
+                h_max_m=350.0,
+            ),
+            SUBURBAN,
+            (1000.0, 1900.0),
+        ),
+    ],
+)
+def test_radius_limited_geometry_matches_all_links(case, overrides, env, centre):
+    sys = default_system(**overrides)
+    users = edge_users(sys, env, centre, np.random.default_rng(41), n_random=40)
+    search = PlacementSearch(users, sys, env)
+    reference = all_links_geometry(users, sys, env)
+    assert len(search.eligible) == len(reference)
+    for lay, (el, bw) in enumerate(reference):
+        assert np.array_equal(search.eligible[lay], el)
+        assert np.array_equal(search.bw_need[lay][el], bw[el])
+        assert np.all(search.bw_need[lay][~el] == np.inf)
+
+    grid = candidate_grid(sys)
+    hs = sorted({p.h_m for p in grid})
+    row = [(p.x_m, p.y_m) for p in grid if p.h_m == hs[0]].index(centre)
+    served = np.array([el[row] for el, _ in reference])  # (layer, user)
+    if case == "radius_inf":
+        assert all(np.all(el) for el, _ in reference)
+    elif case == "nothing_in_reach":
+        assert not any(np.any(el) for el, _ in reference)
+    elif case == "lowest_layer_only":
+        assert served[0, 0] and not np.any(served[1:])
+    else:
+        # the user on the grid point is served on every layer; users just
+        # inside a layer's radius are served there, users just outside not
+        for lay in range(len(hs)):
+            inside, outside = 1 + 8 * lay + np.array([[0, 1], [2, 3]])
+            assert served[lay, 0]
+            assert np.all(served[lay, inside]) and np.all(served[lay, inside + 4])
+            assert not np.any(served[lay, outside]) and not np.any(served[lay, outside + 4])
 
 
 # ---------------------------------------------------------------------

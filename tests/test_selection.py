@@ -231,3 +231,88 @@ def test_rejects_negative_resources():
         inst([1, 1], [1, -1], [0.1, 0.1], 1.0, 1.0)
     with pytest.raises(ValueError, match="non-negative"):
         inst([1, 1], [1, 1], [0.1, 0.1], -1.0, 1.0)
+
+
+# ---------------------------------------------------------------------
+# large-n oracle: HiGHS on instances harvested from a default-grid scan
+# ---------------------------------------------------------------------
+
+
+def milp_objective(instance):
+    """Optimum of the 0/1 selection, bracketed by HiGHS: (low, high).
+
+    HiGHS accepts a selection up to 1e-6 over a cap. A solution that also
+    holds the caps to 1e-9 is optimal, and both ends are its objective;
+    otherwise the caps are tightened by 2e-6 for a selection that surely
+    holds them, a lower end.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    w, r, b = instance.weights, instance.rates_mbps, instance.bandwidths_mhz
+    caps = np.array([instance.backhaul_cap_mbps, instance.bandwidth_cap_mhz])
+    ends = []
+    for slack in (0.0, 2e-6):
+        res = milp(
+            -w,
+            integrality=np.ones(len(w)),
+            bounds=Bounds(0, 1),
+            constraints=LinearConstraint(np.vstack([r, b]), -np.inf, caps - slack),
+            options={"mip_rel_gap": 0.0},
+        )
+        assert res.success, res.message
+        x = np.round(res.x).astype(bool)
+        ends.append(-res.fun)
+        if np.sum(r[x]) <= caps[0] + 1e-9 and np.sum(b[x]) <= caps[1] + 1e-9:
+            return ends[-1], ends[0]
+    raise AssertionError("HiGHS found no selection within the caps at 1e-9")
+
+
+def harvested_instances():
+    """Selection problems as the grid scan and the margin stage pose them.
+
+    Default scenario, three populations large enough for 80-280 eligible
+    users: per mode and backhaul value, candidates spread over that range
+    of eligible counts, each with all its eligible users and the
+    pathloss-sorted prefixes of 3/4 of them and of 80 (users by rising
+    1/zeta, as the margin stage cuts them).
+    """
+    from droneplace.config import load_config
+    from droneplace.placement import PlacementSearch
+    from droneplace.users import assign_weights, sample_users
+
+    cfg = load_config()
+    B = cfg.system.bandwidth_mhz
+    for seed in (4, 14, 25):
+        users = sample_users(cfg.bounds, cfg.cluster, cfg.rate_set_mbps, seed=seed)
+        search = PlacementSearch(users, cfg.system, cfg.environment)
+        counts = np.stack([el.sum(axis=1) for el in search.eligible], axis=1).reshape(-1)
+        fit = np.flatnonzero((counts >= 80) & (counts <= 280))
+        picks = fit[np.argsort(counts[fit], kind="stable")]
+        picks = picks[np.linspace(0, len(picks) - 1, 5).astype(int)]
+        for mode in ("network_centric", "user_centric"):
+            w = np.array([u.weight for u in assign_weights(users, mode)])
+            for c in picks:
+                row, lay = divmod(int(c), len(search.hs))
+                el = search.eligible[lay][row]
+                bw, r = search.bw_need[lay][row][el], search.rates[el]
+                by_pathloss = np.argsort(bw / r, kind="stable")
+                for m in {len(r), max(80, len(r) * 3 // 4), 80}:
+                    keep = np.sort(by_pathloss[:m])
+                    for R in (30.0, cfg.system.backhaul_mbps):
+                        yield SelectionInstance(w[el][keep], r[keep], bw[keep], R, B)
+
+
+def test_matches_highs_on_harvested_large_instances():
+    pytest.importorskip("scipy.optimize")
+    n_sizes, binding = [], 0
+    for instance in harvested_instances():
+        res = solve_bnb(instance)
+        low, high = milp_objective(instance)
+        assert low - 1e-9 <= res.objective <= high + 1e-9
+        assert np.sum(instance.rates_mbps[list(res.selected)]) <= instance.backhaul_cap_mbps + 1e-9
+        assert np.sum(instance.bandwidths_mhz[list(res.selected)]) <= instance.bandwidth_cap_mhz + 1e-9
+        n_sizes.append(instance.n)
+        binding += res.objective < np.sum(instance.weights) - 1e-9
+    assert min(n_sizes) == 80 and max(n_sizes) >= 250
+    # the budgets bind, so the solver had to choose
+    assert binding >= len(n_sizes) * 3 // 4
