@@ -163,6 +163,9 @@ def _cmd_place(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
         print(f"  rate used {result.rate_used_mbps:.3f} Mbps, "
               f"bandwidth used {result.bandwidth_used_mhz:.4f} MHz, "
               f"solver nodes {result.solver_nodes}")
+        eligible = sum(int(np.count_nonzero(el)) for el in search.eligible)
+        print(f"  link budgets computed for {search.links_computed} of {eligible} "
+              f"eligible links, {search.rows_computed} of {search.n_candidates} candidates")
 
 
 def _meta_extra(cfg: RunConfig) -> dict:

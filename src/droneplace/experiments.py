@@ -130,8 +130,9 @@ def backhaul_sweep(
 ) -> ExperimentReport:
     """Optimal placement per seed at every backhaul capacity value.
 
-    The per-scenario geometry is precomputed once per seed and shared across
-    R values; ascending R values warm-start each other's pruning (objective
+    The per-scenario geometry is built once per seed and shared across R
+    values, and so are the link budgets each R value computes on demand;
+    ascending R values warm-start each other's pruning (objective
     is monotone in R, so the previous optimum is always attainable).
     ``threads`` is accepted for compatibility and starts no threads.
     """

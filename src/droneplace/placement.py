@@ -23,6 +23,14 @@ never changes the maximum, and the scan's order cannot change the result:
 a margin stage then applies steps 2 and 3 over every candidate, reading
 only the maximum from the scan. Both run on the calling thread; the
 ``threads`` arguments of the public entry points start no threads.
+
+Pathloss rises strictly with horizontal distance, so each altitude layer
+has two radii around the service threshold (:func:`_coverage_radii`): a
+user inside the inner one is eligible, one beyond the outer one is not, and
+exact pathloss decides only in the thin shell between them. A link's
+bandwidth need is computed on demand, for the grid rows a screen actually
+reads (:meth:`PlacementSearch.bw_rows`); the screens that need no bandwidth
+go first.
 """
 
 from __future__ import annotations
@@ -52,9 +60,12 @@ _SCREEN = 64  # candidates per fill screen in the margin stage
 # selection up to _SEARCH_EPS over it, which can be worth weight-per-cost
 # times that much more; screens on those bounds leave this much room.
 _LP_ROOM = 1e-6
-# coverage radii sit this far past the service threshold, far above the
-# float error of a pathloss evaluation (see _coverage_radii)
+# coverage radii sit this far either side of the service threshold, far
+# above the float error of a pathloss evaluation (see _coverage_radii)
 _RADIUS_MARGIN_DB = 0.01
+# relative slack on squared radii, far above the rounding of dx*dx + dy*dy
+# against np.hypot(dx, dy)**2 (a few ulp)
+_SQUARED_SLACK = 1e-9
 # halvings of the radius bracket; they only set how many links just past
 # the threshold get evaluated, never which links are eligible
 _RADIUS_BISECTIONS = 24
@@ -181,39 +192,51 @@ def _bandwidth_need(pl, rates, sys: SystemParams):
 
 
 def _coverage_radii(hs, reach_m: float, sys: SystemParams, env: EnvironmentParams):
-    """Per altitude, a horizontal distance beyond which no link is served.
+    """Per altitude, horizontal radii ``(r_lo, r_hi)`` around the service threshold.
 
-    Bisects, for all altitudes at once, for a distance ``r_hi(h)`` whose
-    model pathloss exceeds ``pl_max_db`` by ``_RADIUS_MARGIN_DB``. Pathloss
-    rises strictly with horizontal distance (free-space loss grows, and the
+    Bisects, for all altitudes at once, for a distance ``r_lo(h)`` whose
+    model pathloss is ``_RADIUS_MARGIN_DB`` under ``pl_max_db`` and one,
+    ``r_hi(h)``, whose pathloss exceeds it by as much. Pathloss rises
+    strictly with horizontal distance (free-space loss grows, and the
     LoS-weighted excess can only grow since ``eta_nlos_db >= eta_los_db``),
     and its float evaluation is off by about 1e-13 dB. The bisection keeps
-    ``r_hi`` where the evaluated pathloss is over ``pl_max_db +
-    _RADIUS_MARGIN_DB``, so a link farther than ``r_hi`` evaluates more than
-    ``_RADIUS_MARGIN_DB - 2e-13`` dB over the threshold: no link that
-    ``pathloss_db(dist) <= pl_max_db`` accepts lies beyond it. Where even
-    ``reach_m``, an upper bound on every link's distance, stays within
-    threshold plus margin, the radius is ``inf``.
+    ``r_lo`` where the evaluated pathloss is within ``pl_max_db -
+    _RADIUS_MARGIN_DB`` and ``r_hi`` where it is over ``pl_max_db +
+    _RADIUS_MARGIN_DB``. So a link nearer than ``r_lo`` evaluates at least
+    ``_RADIUS_MARGIN_DB - 2e-13`` dB under the threshold, and one farther
+    than ``r_hi`` as much over it: ``pathloss_db(dist) <= pl_max_db``
+    accepts every link inside ``r_lo`` and none beyond ``r_hi``. Where even
+    ``reach_m``, an upper bound on every link's distance, stays within the
+    bisected level, the radius is ``inf``; where even r = 0 is beyond
+    ``r_lo``'s level, there is no inner disc and ``r_lo`` is ``-inf``.
     """
-    over = sys.pl_max_db + _RADIUS_MARGIN_DB
-    lo, hi = np.zeros(len(hs)), np.full(len(hs), float(reach_m))
-    bounded = pathloss_db(hi, hs, env, sys.carrier_hz) > over
+    n_h = len(hs)
+    level = sys.pl_max_db + np.repeat([-_RADIUS_MARGIN_DB, _RADIUS_MARGIN_DB], n_h)
+    h = np.tile(np.asarray(hs, dtype=float), 2)
+    lo, hi = np.zeros(2 * n_h), np.full(2 * n_h, float(reach_m))
+    bounded = pathloss_db(hi, h, env, sys.carrier_hz) > level
     for _ in range(_RADIUS_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        beyond = pathloss_db(mid, hs, env, sys.carrier_hz) > over
+        beyond = pathloss_db(mid, h, env, sys.carrier_hz) > level
         lo, hi = np.where(beyond, lo, mid), np.where(beyond, mid, hi)
-    return np.where(bounded, hi, np.inf)
+    inner = pathloss_db(lo[:n_h], hs, env, sys.carrier_hz) <= level[:n_h]
+    r_lo = np.where(bounded[:n_h], np.where(inner, lo[:n_h], -np.inf), np.inf)
+    r_hi = np.where(bounded[n_h:], hi[n_h:], np.inf)
+    return r_lo, r_hi
 
 
 class PlacementSearch:
     """Grid scan with per-scenario precomputation, reusable across budgets.
 
     Pathloss depends only on geometry, and per-user bandwidth need only on
-    pathloss, so both are computed once per (users, radio params) and shared
-    by every backhaul value and weighting of a sweep. They are computed only
-    for the links inside each altitude layer's coverage radius
-    (:func:`_coverage_radii`); ``bw_need`` is ``inf`` wherever a user is not
-    eligible.
+    pathloss, so both are shared by every backhaul value and weighting of a
+    sweep. Construction builds eligibility only, per altitude layer: a user
+    inside the layer's inner radius is eligible, one beyond its outer radius
+    is not (:func:`_coverage_radii`), and exact pathloss decides the shell
+    between them. Bandwidth need is computed on demand, a grid row at a time
+    (:meth:`bw_rows`), and kept for later calls; ``rows_computed`` and
+    ``links_computed`` count the (row, layer) pairs and the eligible links
+    whose need has been computed.
     """
 
     def __init__(self, users, sys: SystemParams, env: EnvironmentParams):
@@ -224,35 +247,75 @@ class PlacementSearch:
         self.n_candidates = len(self.xs) * len(self.ys) * len(self.hs)
 
         n = len(self.users)
-        ux = np.array([u.x_m for u in self.users])
-        uy = np.array([u.y_m for u in self.users])
+        self._ux = np.array([u.x_m for u in self.users])
+        self._uy = np.array([u.y_m for u in self.users])
         self.rates = np.array([u.rate_mbps for u in self.users])
-        gx = np.repeat(self.xs, len(self.ys))
-        gy = np.tile(self.ys, len(self.xs))
-        reach = np.hypot(np.ptp(np.append(self.xs, ux)), np.ptp(np.append(self.ys, uy)))
-        radii = _coverage_radii(self.hs, reach, sys, env)
+        self._gx = np.repeat(self.xs, len(self.ys))
+        self._gy = np.tile(self.ys, len(self.xs))
+        n_xy = len(self._gx)
+        reach = np.hypot(
+            np.ptp(np.append(self.xs, self._ux)), np.ptp(np.append(self.ys, self._uy))
+        )
+        r_lo, r_hi = _coverage_radii(self.hs, reach, sys, env)
+        inner2 = np.where(r_lo >= 0, r_lo * r_lo, -1.0) * (1.0 - _SQUARED_SLACK)
+        outer2 = r_hi * r_hi * (1.0 + _SQUARED_SLACK)
         # one array per altitude layer: a single array for all layers raised
         # the resident peak of repeated searches by about 15%, most likely
         # because freeing one chunk that large lets the allocator keep more
         # freed heap
-        self.eligible = [np.zeros((len(gx), n), dtype=bool) for _ in self.hs]  # (n_xy, n)
-        self.bw_need = [np.full((len(gx), n), np.inf) for _ in self.hs]  # (n_xy, n) MHz; inf: ineligible
-        # horizontal distance of every (x, y) grid row to every user, a block
-        # of rows at a time; pathloss and bandwidth need only for the links
-        # inside a layer's coverage radius, as flat indices into the block
-        block_rates = np.tile(self.rates, _GEOMETRY_ROWS)  # by flat index into a block
-        for lo in range(0, len(gx), _GEOMETRY_ROWS):
+        self.eligible = [np.empty((n_xy, n), dtype=bool) for _ in self.hs]  # (n_xy, n)
+        # squared horizontal distance of every (x, y) grid row to every user,
+        # a block of rows at a time; exact pathloss only in each layer's shell
+        for lo in range(0, n_xy, _GEOMETRY_ROWS):
             rows = slice(lo, lo + _GEOMETRY_ROWS)
-            dist = np.hypot(gx[rows, None] - ux[None, :], gy[rows, None] - uy[None, :]).ravel()
+            dx = self._gx[rows, None] - self._ux
+            dy = self._gy[rows, None] - self._uy
+            d2 = dx * dx + dy * dy
             for lay, h in enumerate(self.hs):
-                near = np.flatnonzero(dist <= radii[lay])
-                pl = pathloss_db(dist[near], float(h), env, sys.carrier_hz)
-                ok = pl <= sys.pl_max_db
-                link = near[ok]
-                self.eligible[lay][rows].reshape(-1)[link] = True
-                self.bw_need[lay][rows].reshape(-1)[link] = _bandwidth_need(
-                    pl[ok], block_rates[link], sys
-                )
+                el = np.less_equal(d2, inner2[lay], out=self.eligible[lay][rows])
+                shell = np.flatnonzero((d2 <= outer2[lay]) & ~el)
+                if len(shell):
+                    dist = np.hypot(dx.reshape(-1)[shell], dy.reshape(-1)[shell])
+                    pl = pathloss_db(dist, float(h), env, sys.carrier_hz)
+                    el.reshape(-1)[shell] = pl <= sys.pl_max_db
+        # bandwidth needs computed so far: per layer, grid row -> slot in
+        # _bw, or -1
+        self._slot = [np.full(n_xy, -1) for _ in self.hs]
+        # compact store filled in the order rows are first asked for; its
+        # pages stay untouched until written, so rows never asked for take
+        # no resident memory
+        self._bw = [np.empty((n_xy, n)) for _ in self.hs]
+        self._filled = [0 for _ in self.hs]
+        self.rows_computed = 0
+        self.links_computed = 0
+
+    def bw_rows(self, lay: int, rows) -> np.ndarray:
+        """Bandwidth need of grid rows ``rows`` on layer ``lay``, (len(rows), n) MHz.
+
+        ``inf`` wherever a user is not eligible. Rows not asked for before
+        are computed now, from the same ``np.hypot`` distances, pathloss and
+        :func:`_bandwidth_need` as every other link budget of the package,
+        and kept for later calls.
+        """
+        rows = np.asarray(rows)
+        slot = self._slot[lay]
+        new = np.unique(rows[slot[rows] < 0])
+        if len(new):
+            # flat (row, user) indices of the eligible links
+            link = np.flatnonzero(self.eligible[lay][new])
+            at, user = np.divmod(link, len(self.users))
+            at = new[at]
+            dist = np.hypot(self._gx[at] - self._ux[user], self._gy[at] - self._uy[user])
+            pl = pathloss_db(dist, float(self.hs[lay]), self.env, self.sys.carrier_hz)
+            start = self._filled[lay]
+            store = self._bw[lay][start:start + len(new)]
+            store.fill(np.inf)
+            store.reshape(-1)[link] = _bandwidth_need(pl, self.rates[user], self.sys)
+            slot[new] = np.arange(start, start + len(new))
+            self._filled[lay] += len(new)
+            self.rows_computed += len(new)
+            self.links_computed += len(link)
+        return self._bw[lay][slot[rows]]
 
     def _candidate(self, c: int) -> Placement:
         n_h = len(self.hs)
@@ -277,29 +340,32 @@ class PlacementSearch:
         w = np.asarray(weights, dtype=float)
         R = float(backhaul_mbps)
         sum_w = np.stack([el @ w for el in self.eligible], axis=1)
-        best = self._scan(w, R, sum_w, warm_value)
-        return self._widest_margin(best, w, R, sum_w)
+        by_ratio = _ratio_order(w, self.rates)
+        best = self._scan(w, R, sum_w, by_ratio, warm_value)
+        return self._widest_margin(best, w, R, sum_w, by_ratio)
 
-    def _scan(self, w, R: float, sum_w, warm_value: float | None):
+    def _scan(self, w, R: float, sum_w, by_ratio, warm_value: float | None):
         """Some candidate attaining the maximum objective, best-first.
 
-        ``sum_w`` holds each candidate's eligible weight, (n_xy, n_h).
-        Candidates go by that weight, highest first (ties in grid order),
-        and the scan stops at the first whose weight cannot beat the
-        incumbent. Each block of candidates is screened at once: a candidate
-        whose users all fit is settled outright; any other goes to
-        ``solve_bnb`` only if the smaller of its backhaul- and
-        bandwidth-side fractional fills, rounded down to the weight grid,
-        beats the incumbent. Which optimal candidate comes back does not
-        matter, since the margin stage reads only its objective. The scan
-        runs on the calling thread.
+        ``sum_w`` holds each candidate's eligible weight, (n_xy, n_h), and
+        ``by_ratio`` the users by descending weight per rate
+        (:func:`_ratio_order`). Candidates go by that weight, highest first
+        (ties in grid order), and the scan stops at the first whose weight
+        cannot beat the incumbent. Each block of candidates is screened at
+        once, the bandwidth-free test first: a candidate whose backhaul-side
+        fractional fill, rounded down to the weight grid, cannot beat the
+        incumbent is dropped before its link budgets are read. Of the rest,
+        a candidate whose users all fit is settled outright; any other goes
+        to ``solve_bnb`` only if the smaller of its backhaul- and
+        bandwidth-side fills, so rounded, beats the incumbent. Which optimal
+        candidate comes back does not matter, since the margin stage reads
+        only its objective. The scan runs on the calling thread.
         """
         B = self.sys.bandwidth_mhz
         n_h = len(self.hs)
         q = _value_grid(w)
         bound = sum_w.reshape(-1)
         order = np.argsort(-bound, kind="stable")
-        by_ratio = np.lexsort((np.arange(len(w)), -(w / self.rates)))
         w_g, r_g = w[by_ratio], self.rates[by_ratio]
 
         # The warm value is attained somewhere, perhaps only by the maximum
@@ -316,18 +382,22 @@ class PlacementSearch:
                 break
             rows, lays = np.divmod(blk, n_h)
             el = np.empty((len(blk), len(w)), dtype=bool)
-            bw = np.empty((len(blk), len(w)))
             for lay in range(n_h):
                 at = lays == lay
                 el[at] = self.eligible[lay][rows[at]]
-                bw[at] = self.bw_need[lay][rows[at]]
+            lp = _rate_fill(el[:, by_ratio], w_g, r_g, R)
+            # only rows the backhaul side leaves open can be solved, so only
+            # they get link budgets
+            open_ = np.flatnonzero(_grid_floor(lp + _LP_ROOM, q) > skip_at)
+            blk, rows, lays, el, lp = blk[open_], rows[open_], lays[open_], el[open_], lp[open_]
+            bw = np.empty((len(blk), len(w)))
+            for lay in range(n_h):
+                at = lays == lay
+                bw[at] = self.bw_rows(lay, rows[at])
             all_fit = (el @ self.rates <= R + _SEARCH_EPS) & (
                 np.sum(np.where(el, bw, 0.0), axis=1) <= B + _SEARCH_EPS
             )
-            lp = _rate_fill(el[:, by_ratio], w_g, r_g, R)
-            # the bandwidth side only for rows the backhaul side left open
-            open_ = _grid_floor(lp + _LP_ROOM, q) > skip_at
-            lp[open_] = np.minimum(lp[open_], _bandwidth_fill(el[open_], w, bw[open_], B))
+            lp = np.minimum(lp, _bandwidth_fill(el, w, bw, B))
             ub = np.minimum(_grid_floor(lp + _LP_ROOM, q), bound[blk])
             for i in np.flatnonzero(ub > skip_at):
                 if ub[i] <= skip_at:
@@ -350,7 +420,7 @@ class PlacementSearch:
             raise ValueError("warm_value exceeded every candidate's objective")
         return best
 
-    def _widest_margin(self, best, w: np.ndarray, R: float, sum_w: np.ndarray):
+    def _widest_margin(self, best, w: np.ndarray, R: float, sum_w: np.ndarray, by_ratio):
         """Among all placements attaining the scan's objective, the widest margin.
 
         A served set's margin is ``pl_max_db`` minus its worst served
@@ -369,7 +439,7 @@ class PlacementSearch:
         B = self.sys.bandwidth_mhz
         if res.served_count == 0:
             pool = self.eligible[0][0]
-            inst = SelectionInstance(w[pool], self.rates[pool], self.bw_need[0][0][pool], R, B)
+            inst = SelectionInstance(w[pool], self.rates[pool], self.bw_rows(0, [0])[0][pool], R, B)
             return 0, pool, solve_bnb(inst)
         target = res.objective
         n_h = len(self.hs)
@@ -377,16 +447,16 @@ class PlacementSearch:
         el = self.eligible[lay][row]
         # attained by the winner, but not yet known to be its tightest cut:
         # until some candidate settles a cut, ties with it stay open
-        cut = float(np.max(self.bw_need[lay][row][el] / self.rates[el]))
+        cut = float(np.max(self.bw_rows(lay, [row])[0][el] / self.rates[el]))
         c = None
         for lay in reversed(range(n_h)):
-            for lb, cand in self._contenders(lay, w, R, target, cut, sum_w):
+            for lb, cand in self._contenders(lay, w, R, target, cut, sum_w, by_ratio):
                 if lb > cut or (lb == cut and c is not None and cand > c):
                     break
                 row = cand // n_h
                 el = self.eligible[lay][row]
                 found = _margin_cut(
-                    w[el], self.rates[el], self.bw_need[lay][row][el], R, B, target,
+                    w[el], self.rates[el], self.bw_rows(lay, [row])[0][el], R, B, target,
                     cut, c is None or cand < c,
                 )
                 if found is not None:
@@ -395,11 +465,12 @@ class PlacementSearch:
         pool = self.eligible[lay][row].copy()
         pool[np.flatnonzero(pool)[~keep]] = False
         if res is None:
-            inst = SelectionInstance(w[pool], self.rates[pool], self.bw_need[lay][row][pool], R, B)
+            bw = self.bw_rows(lay, [row])[0]
+            inst = SelectionInstance(w[pool], self.rates[pool], bw[pool], R, B)
             res = solve_bnb(inst, prune_below=target - 2 * TIE_EPS)
         return c, pool, res
 
-    def _contenders(self, lay, w, R, target, cut, sum_w):
+    def _contenders(self, lay, w, R, target, cut, sum_w, by_ratio):
         """One layer's candidates that may reach ``target`` within ``cut``.
 
         Yields (bound, candidate) by ascending bound, a lower bound on the
@@ -408,19 +479,30 @@ class PlacementSearch:
         the bound. A candidate is screened out when its users at or under
         ``cut`` lack the target weight or their backhaul-side fractional
         fill falls short of the target. Weight per rate does not depend on
-        position, so the fill uses one global item order. The fill screen
-        runs block by block as the caller consumes, since the visit usually
-        ends early. Rows go in blocks so the temporaries stay small.
+        position, so the fill uses one global item order, ``by_ratio``.
+        Before any key is computed, a candidate goes whose whole eligible
+        set's fill falls short by more than twice the room: the fill is
+        monotone in the item set, so the later screen would drop it too.
+        This prescreen is skipped where it provably drops nothing, as with
+        user-centric weights, whose weight per rate is 1 throughout. The
+        screen on the cut runs block by block as the caller consumes, since
+        the visit usually ends early. Rows go in blocks so the temporaries
+        stay small.
         """
         floor = target - 2 * TIE_EPS
         n_h = len(self.hs)
         el = self.eligible[lay]
-        bw = self.bw_need[lay]
+        w_g, r_g = w[by_ratio], self.rates[by_ratio]
+        # a set worth `floor` fills at least min(floor, R * its lowest weight
+        # per rate); when that reaches the target, no row can fail the fill
+        prescreen = R * w_g[-1] / r_g[-1] < target - _LP_ROOM
         bounds, rows = [], []
         candidates = np.flatnonzero(sum_w[:, lay] >= floor)
         for lo in range(0, len(candidates), _CHUNK):
             blk = candidates[lo:lo + _CHUNK]
-            key = np.where(el[blk], bw[blk] / self.rates, np.inf)
+            if prescreen:
+                blk = blk[_rate_fill(el[blk][:, by_ratio], w_g, r_g, R) >= target - 2 * _LP_ROOM]
+            key = np.where(el[blk], self.bw_rows(lay, blk) / self.rates, np.inf)
             heavy = (key <= cut) @ w >= floor
             blk, key = blk[heavy], key[heavy]
             order = np.argsort(key, axis=1)
@@ -434,11 +516,9 @@ class PlacementSearch:
         rank = np.lexsort((rows, bounds))
         bounds, rows = bounds[rank], rows[rank]
 
-        by_ratio = np.lexsort((np.arange(len(w)), -(w / self.rates)))
-        w_g, r_g = w[by_ratio], self.rates[by_ratio]
         for lo in range(0, len(rows), _SCREEN):
             blk = rows[lo:lo + _SCREEN]
-            inside = el[blk] & (bw[blk] / self.rates <= cut)
+            inside = el[blk] & (self.bw_rows(lay, blk) / self.rates <= cut)
             ok = _rate_fill(inside[:, by_ratio], w_g, r_g, R) >= target - _LP_ROOM
             yield from zip(bounds[lo:lo + _SCREEN][ok].tolist(), (blk[ok] * n_h + lay).tolist())
 
@@ -456,7 +536,7 @@ class PlacementSearch:
             served_user_ids=tuple(self.users[i].id for i in np.flatnonzero(full)),
             objective=float(np.sum(w[full])),
             rate_used_mbps=float(np.sum(self.rates[full])),
-            bandwidth_used_mhz=float(np.sum(self.bw_need[lay][row][full])),
+            bandwidth_used_mhz=float(np.sum(self.bw_rows(lay, [row])[0][full])),
             candidates_evaluated=self.n_candidates,
             solver_nodes=res.nodes_explored,
         )
@@ -478,6 +558,12 @@ class PlacementSearch:
             raise RuntimeError("backhaul budget exceeded")
         if out.bandwidth_used_mhz > self.sys.bandwidth_mhz + 1e-9:
             raise RuntimeError("bandwidth budget exceeded")
+
+
+def _ratio_order(w: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Users by descending weight per rate, ties by index: the item order of
+    every backhaul-side fractional fill (:func:`_rate_fill`)."""
+    return np.lexsort((np.arange(len(w)), -(w / rates)))
 
 
 def _rate_fill(taken: np.ndarray, w: np.ndarray, r: np.ndarray, R: float) -> np.ndarray:

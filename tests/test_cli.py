@@ -73,6 +73,21 @@ def test_place_emits_result_json_and_served_csv(tmp_path, small_cfg, capsys):
     assert "seed 0: drone at" in capsys.readouterr().out
 
 
+def test_place_verbose_counts_link_budgets_and_writes_the_same_files(tmp_path, small_cfg, capsys):
+    plain, verbose = tmp_path / "plain", tmp_path / "verbose"
+    assert run_cli("place", "--config", small_cfg, "--seed", "0",
+                   "--output-dir", str(plain)) == 0
+    capsys.readouterr()
+    assert run_cli("place", "--config", small_cfg, "--seed", "0",
+                   "--output-dir", str(verbose), "--verbose") == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "link budgets" in s)
+    words = line.split()
+    links, eligible = int(words[4]), int(words[6])
+    rows, candidates = int(words[9]), int(words[11])
+    assert 0 < links <= eligible and 0 < rows <= candidates == 3 * 3 * 2
+    assert read_tree(plain) == read_tree(verbose)
+
+
 def test_place_is_deterministic_across_reruns_and_threads(tmp_path, small_cfg):
     dirs = [tmp_path / d for d in ("a", "b", "c")]
     for d, threads in zip(dirs, ("1", "1", "4")):

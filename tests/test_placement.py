@@ -5,11 +5,13 @@ import pytest
 
 from droneplace.channel import EnvironmentParams, pathloss_db, spectral_efficiency
 from droneplace.placement import (
+    _RADIUS_MARGIN_DB,
     Placement,
     PlacementSearch,
     SystemParams,
     _bandwidth_fill,
     _rate_fill,
+    _ratio_order,
     candidate_grid,
     evaluate_position,
     optimal_placement,
@@ -54,12 +56,14 @@ def small_system(**overrides) -> SystemParams:
     return default_system(**params)
 
 
-def coverage_radius_m(sys: SystemParams, h_m: float, env: EnvironmentParams = URBAN) -> float:
-    """Horizontal distance where pathloss crosses the service threshold."""
+def coverage_radius_m(
+    sys: SystemParams, h_m: float, env: EnvironmentParams = URBAN, under_db: float = 0.0
+) -> float:
+    """Horizontal distance where pathloss crosses ``under_db`` under the service threshold."""
     lo, hi = 0.0, 20_000.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if pathloss_db(mid, h_m, env, sys.carrier_hz) <= sys.pl_max_db:
+        if pathloss_db(mid, h_m, env, sys.carrier_hz) <= sys.pl_max_db - under_db:
             lo = mid
         else:
             hi = mid
@@ -208,15 +212,22 @@ def all_links_geometry(users, sys, env):
 
 
 def edge_users(sys, env, centre, rng, n_random):
-    """Users on a grid point, around each layer's coverage radius, and at random."""
+    """Users on a grid point, around each layer's two radii, and at random.
+
+    Per layer, eight users sit at the service threshold's radius +-2 m and
+    +-1e-6 m (four along x, four along y), then eight more around the radius
+    ``_RADIUS_MARGIN_DB`` inside it, the inner edge of the shell where the
+    search evaluates exact pathloss.
+    """
     cx, cy = centre
     b = sys.bounds
     offsets = (-2.0, -1e-6, 1e-6, 2.0)
     spots = [(cx, cy)]
     for h in sorted({p.h_m for p in candidate_grid(sys)}):
-        edge = coverage_radius_m(sys, h, env)
-        spots += [(cx + edge + d, cy) for d in offsets]
-        spots += [(cx, cy - edge - d) for d in offsets]
+        for under in (0.0, _RADIUS_MARGIN_DB):
+            edge = coverage_radius_m(sys, h, env, under)
+            spots += [(cx + edge + d, cy) for d in offsets]
+            spots += [(cx, cy - edge - d) for d in offsets]
     spots += [
         (float(rng.uniform(b.x_min_m, b.x_max_m)), float(rng.uniform(b.y_min_m, b.y_max_m)))
         for _ in range(n_random)
@@ -262,10 +273,22 @@ def test_radius_limited_geometry_matches_all_links(case, overrides, env, centre)
     search = PlacementSearch(users, sys, env)
     reference = all_links_geometry(users, sys, env)
     assert len(search.eligible) == len(reference)
+    rng = np.random.default_rng(7)
     for lay, (el, bw) in enumerate(reference):
         assert np.array_equal(search.eligible[lay], el)
-        assert np.array_equal(search.bw_need[lay][el], bw[el])
-        assert np.all(search.bw_need[lay][~el] == np.inf)
+        # every row through the on-demand accessor, in shuffled batches of
+        # rows both new and already computed
+        rows = rng.permutation(len(el))
+        cuts = np.sort(rng.choice(np.arange(1, len(rows)), size=min(4, len(rows) - 1), replace=False))
+        got = np.empty_like(bw)
+        for part in np.split(rows, cuts):
+            again = rng.choice(rows, size=min(3, len(rows)), replace=False)
+            batch = np.concatenate([part, again])
+            got[batch] = search.bw_rows(lay, batch)
+        assert np.array_equal(got[el], bw[el])
+        assert np.all(got[~el] == np.inf)
+    assert search.rows_computed == len(reference) * len(reference[0][0])
+    assert search.links_computed == sum(int(np.sum(el)) for el, _ in reference)
 
     grid = candidate_grid(sys)
     hs = sorted({p.h_m for p in grid})
@@ -279,12 +302,59 @@ def test_radius_limited_geometry_matches_all_links(case, overrides, env, centre)
         assert served[0, 0] and not np.any(served[1:])
     else:
         # the user on the grid point is served on every layer; users just
-        # inside a layer's radius are served there, users just outside not
+        # inside a layer's radius are served there, users just outside not;
+        # so are users at most 1e-6 m past the shell's inner edge (it lies
+        # only metres inside the radius, so 2 m past it may be outside)
         for lay in range(len(hs)):
-            inside, outside = 1 + 8 * lay + np.array([[0, 1], [2, 3]])
+            inside, outside = 1 + 16 * lay + np.array([[0, 1], [2, 3]])
             assert served[lay, 0]
             assert np.all(served[lay, inside]) and np.all(served[lay, inside + 4])
             assert not np.any(served[lay, outside]) and not np.any(served[lay, outside + 4])
+            assert np.all(served[lay, inside + 8]) and np.all(served[lay, inside + 12])
+            assert served[lay, 1 + 16 * lay + 10] and served[lay, 1 + 16 * lay + 14]
+
+
+def test_link_budgets_are_computed_on_demand_and_once(monkeypatch):
+    """A default-grid network-centric solve reads the bandwidth need of few
+    (row, layer) pairs; a later solve at a higher backhaul recomputes none."""
+    from droneplace import placement
+    from droneplace.config import load_config
+
+    cfg = load_config()
+    users = assign_weights(
+        sample_users(cfg.bounds, cfg.cluster, cfg.rate_set_mbps, seed=0), "network_centric"
+    )
+    w = [u.weight for u in users]
+    R = cfg.system.backhaul_mbps
+    search = PlacementSearch(users, cfg.system, cfg.environment)
+    assert search.rows_computed == search.links_computed == 0
+
+    asked, links = set(), []
+    bw_rows, pathloss = search.bw_rows, placement.pathloss_db
+
+    def spy_rows(lay, rows):
+        asked.update((lay, int(r)) for r in np.asarray(rows))
+        return bw_rows(lay, rows)
+
+    def spy_pathloss(dist, *args):
+        links.append(np.size(dist))
+        return pathloss(dist, *args)
+
+    monkeypatch.setattr(search, "bw_rows", spy_rows)
+    monkeypatch.setattr(placement, "pathloss_db", spy_pathloss)
+    search.solve(w, R)
+    assert 0 < search.rows_computed < search.n_candidates / 4
+    search.solve(w, 2 * R)
+    # each row asked for was computed once, and the counters say what ran
+    assert search.rows_computed == len(asked)
+    assert search.links_computed == sum(links) == sum(
+        int(np.sum(search.eligible[lay][row])) for lay, row in asked
+    )
+    monkeypatch.undo()
+    fresh = PlacementSearch(users, cfg.system, cfg.environment)
+    assert search.result(search.solve(w, 2 * R), w, 2 * R) == fresh.result(
+        fresh.solve(w, 2 * R), w, 2 * R
+    )
 
 
 # ---------------------------------------------------------------------
@@ -430,7 +500,7 @@ def test_margin_stage_does_not_depend_on_the_scan_winner():
             row, lay = divmod(c, n_h)
             mask = search.eligible[lay][row]
             res = solve_bnb(
-                SelectionInstance(w[mask], search.rates[mask], search.bw_need[lay][row][mask], R, B)
+                SelectionInstance(w[mask], search.rates[mask], search.bw_rows(lay, [row])[0][mask], R, B)
             )
             winners.append((c, mask, res))
         best = max(res.objective for _, _, res in winners)
@@ -438,7 +508,7 @@ def test_margin_stage_does_not_depend_on_the_scan_winner():
         assert len(winners) > 1
         outcomes = set()
         for winner in winners:
-            c, pool, res = search._widest_margin(winner, w, R, sum_w)
+            c, pool, res = search._widest_margin(winner, w, R, sum_w, _ratio_order(w, search.rates))
             outcomes.add((c, tuple(pool), res.selected, res.nodes_explored))
         assert len(outcomes) == 1
 

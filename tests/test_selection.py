@@ -294,7 +294,7 @@ def harvested_instances():
             for c in picks:
                 row, lay = divmod(int(c), len(search.hs))
                 el = search.eligible[lay][row]
-                bw, r = search.bw_need[lay][row][el], search.rates[el]
+                bw, r = search.bw_rows(lay, [row])[0][el], search.rates[el]
                 by_pathloss = np.argsort(bw / r, kind="stable")
                 for m in {len(r), max(80, len(r) * 3 // 4), 80}:
                     keep = np.sort(by_pathloss[:m])

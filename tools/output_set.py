@@ -1,0 +1,62 @@
+"""Write the byte-identity output set of this checkout's droneplace.
+
+    python3 tools/output_set.py OUTDIR
+
+Runs the CLI in-process, from the ``src/`` next to this script, and writes
+under OUTDIR:
+
+- ``place_network_centric/`` and ``place_user_centric/``: ``place`` for
+  population seeds 0-63;
+- ``sweep_threads1/`` and ``sweep_threads2/``: network-centric
+  ``sweep-backhaul`` for seeds 0 and 1, one seed per invocation, at
+  ``--threads`` 1 and 2.
+
+A change that must leave results alone is checked by running this in two
+checkouts and comparing the trees with ``diff -r``. Exits 1 if any
+invocation fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PLACE_SEEDS = range(64)
+SWEEP_SEEDS = (0, 1)
+
+
+def invocations(out: Path):
+    for mode in ("network_centric", "user_centric"):
+        for seed in PLACE_SEEDS:
+            yield ["place", "--mode", mode, "--seed", str(seed),
+                   "--output-dir", str(out / f"place_{mode}")]
+    for threads in (1, 2):
+        for seed in SWEEP_SEEDS:
+            yield ["sweep-backhaul", "--mode", "network_centric", "--seed", str(seed),
+                   "--threads", str(threads), "--output-dir", str(out / f"sweep_threads{threads}")]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("outdir", type=Path)
+    args = p.parse_args(argv)
+    sys.path.insert(0, str(SRC))
+    from droneplace import cli
+
+    failed = 0
+    for cmd in invocations(args.outdir):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rc = cli.main(cmd)
+        if rc != 0:
+            failed += 1
+            print(f"exit code {rc}: {' '.join(cmd)}\n{sink.getvalue()}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
