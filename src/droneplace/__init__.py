@@ -25,7 +25,7 @@ from .experiments import (
     RobustnessSpec,
     SweepSpec,
     backhaul_sweep,
-    rate_cdf,
+    rate_cdf_from_rates,
     robustness_eval,
 )
 from .placement import (
@@ -88,7 +88,7 @@ __all__ = [
     "mean_pathloss",
     "optimal_placement",
     "pathloss_db",
-    "rate_cdf",
+    "rate_cdf_from_rates",
     "read_users_csv",
     "required_bandwidth",
     "robustness_eval",

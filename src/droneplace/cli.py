@@ -30,13 +30,14 @@ from .config import ConfigError, RunConfig, load_config
 from .experiments import (
     MODES,
     backhaul_sweep,
+    population,
     rate_cdf_from_rates,
     robustness_eval,
     write_report_csv,
     write_report_metadata,
 )
 from .placement import PlacementSearch
-from .users import assign_weights, sample_population, write_users_csv
+from .users import sample_population, write_users_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,18 +126,15 @@ def _cmd_gen_users(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
 
 def _cmd_place(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
     seed = cfg.seeds[0]
-    sample = sample_population(cfg.bounds, cfg.cluster, cfg.rate_set_mbps, seed)
-    users = assign_weights(sample.users, cfg.mode)
+    users, resamples = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, cfg.mode)
     search = PlacementSearch(users, cfg.system, cfg.environment)
-    weights = [u.weight for u in users]
-    best = search.solve(weights, cfg.system.backhaul_mbps)
-    result = search.result(best, weights)
+    result = search.place()
     doc = {
         "version": __version__,
         "config_sha256_12": cfg.config_hash,
         "config": cfg.scenario,
         "seed": seed,
-        "resamples": sample.resamples,
+        "resamples": resamples,
         "mode": cfg.mode,
         "placement": {
             "x_m": result.placement.x_m,
@@ -152,8 +150,7 @@ def _cmd_place(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
         "solver_nodes": result.solver_nodes,
     }
     _write_json(out.stage(f"placement_seed{seed}_cfg{cfg.config_hash}.json"), doc)
-    served = [u for u, s in zip(users, result.selected) if s]
-    write_users_csv(served, out.stage(f"served_seed{seed}_cfg{cfg.config_hash}.csv"))
+    write_users_csv(result.served(users), out.stage(f"served_seed{seed}_cfg{cfg.config_hash}.csv"))
     print(
         f"seed {seed}: drone at ({result.placement.x_m:.0f}, {result.placement.y_m:.0f}, "
         f"{result.placement.h_m:.0f}) m, {result.served_count} of {len(users)} users, "
@@ -172,41 +169,39 @@ def _meta_extra(cfg: RunConfig) -> dict:
     return {"version": __version__, "config_sha256_12": cfg.config_hash, "config": cfg.scenario}
 
 
-def _seed_tag(seeds) -> str:
-    """Compact seed label for filenames: seed3 or seeds0-19."""
-    if len(seeds) == 1:
-        return f"seed{seeds[0]}"
-    return f"seeds{min(seeds)}-{max(seeds)}"
+def _tag(cfg: RunConfig) -> str:
+    """Filename label of a multi-seed run: seed3_cfg... or seeds0-19_cfg..."""
+    seeds = cfg.seeds
+    label = f"seed{seeds[0]}" if len(seeds) == 1 else f"seeds{min(seeds)}-{max(seeds)}"
+    return f"{label}_cfg{cfg.config_hash}"
+
+
+def _run_report(cfg: RunConfig, out: _OutputSet, driver, spec, prefix: str):
+    """Run one multi-seed driver and stage its CSV and JSON sidecar."""
+    report = driver(
+        spec, cfg.system, cfg.environment, cfg.cluster, cfg.rate_set_mbps, threads=cfg.threads
+    )
+    tag = _tag(cfg)
+    write_report_csv(report, out.stage(f"{prefix}_{tag}.csv"))
+    write_report_metadata(report, out.stage(f"{prefix}_{tag}.meta.json"), extra=_meta_extra(cfg))
+    return report
+
+
+def _print_means(label: str, report, metric: str, fmt: str) -> None:
+    means = report.mean(metric)
+    print(f"{label}:", ", ".join(f"{x:g}:{m:{fmt}}" for x, m in zip(report.x_values, means)))
 
 
 def _cmd_sweep(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
-    report = backhaul_sweep(
-        cfg.sweep_spec(), cfg.system, cfg.environment, cfg.cluster,
-        cfg.rate_set_mbps, threads=cfg.threads,
-    )
-    tag = f"{_seed_tag(cfg.seeds)}_cfg{cfg.config_hash}"
-    write_report_csv(report, out.stage(f"sweep_backhaul_{tag}.csv"))
-    write_report_metadata(
-        report, out.stage(f"sweep_backhaul_{tag}.meta.json"), extra=_meta_extra(cfg)
-    )
+    report = _run_report(cfg, out, backhaul_sweep, cfg.sweep_spec(), "sweep_backhaul")
     if verbose:
-        means = report.mean("served_count")
-        print("mean served:", ", ".join(f"{x:g}:{m:.1f}" for x, m in zip(report.x_values, means)))
+        _print_means("mean served", report, "served_count", ".1f")
 
 
 def _cmd_robustness(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
-    report = robustness_eval(
-        cfg.robustness_spec(), cfg.system, cfg.environment, cfg.cluster,
-        cfg.rate_set_mbps, threads=cfg.threads,
-    )
-    tag = f"{_seed_tag(cfg.seeds)}_cfg{cfg.config_hash}"
-    write_report_csv(report, out.stage(f"robustness_{tag}.csv"))
-    write_report_metadata(
-        report, out.stage(f"robustness_{tag}.meta.json"), extra=_meta_extra(cfg)
-    )
+    report = _run_report(cfg, out, robustness_eval, cfg.robustness_spec(), "robustness")
     if verbose:
-        means = report.mean("dropped_pct")
-        print("mean dropped %:", ", ".join(f"{x:g}:{m:.2f}" for x, m in zip(report.x_values, means)))
+        _print_means("mean dropped %", report, "dropped_pct", ".2f")
 
 
 def _cmd_cdf(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
@@ -215,19 +210,15 @@ def _cmd_cdf(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
     for mode in MODES:
         rates: list[float] = []
         for seed in cfg.seeds:
-            sample = sample_population(cfg.bounds, cfg.cluster, cfg.rate_set_mbps, seed)
-            users = assign_weights(sample.users, mode)
-            search = PlacementSearch(users, cfg.system, cfg.environment)
-            weights = [u.weight for u in users]
-            best = search.solve(weights, cfg.system.backhaul_mbps)
-            result = search.result(best, weights)
-            rates.extend(u.rate_mbps for u, s in zip(users, result.selected) if s)
+            users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
+            result = PlacementSearch(users, cfg.system, cfg.environment).place()
+            rates.extend(u.rate_mbps for u in result.served(users))
         cdf = rate_cdf_from_rates(rates, cfg.rate_set_mbps)
         pooled[mode] = cdf
         rows.extend((mode, rho, v) for rho, v in zip(cfg.rate_set_mbps, cdf))
         if verbose:
             print(f"{mode}: {len(rates)} served users pooled")
-    tag = f"{_seed_tag(cfg.seeds)}_cfg{cfg.config_hash}"
+    tag = _tag(cfg)
     path = out.stage(f"rate_cdf_{tag}.csv")
     with open(path, "w", newline="") as f:
         f.write("mode,rate_mbps,cdf\n")

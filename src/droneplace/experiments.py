@@ -1,7 +1,8 @@
 """Monte-Carlo experiment drivers: rate CDFs, backhaul sweeps, robustness.
 
-Each driver runs the full placement pipeline over a list of seeds and
-returns an ExperimentReport holding the raw per-seed values (long-format
+Each driver turns every seed of a list into weighted users
+(:func:`population`), places the drone with :meth:`PlacementSearch.place`
+and returns an ExperimentReport holding the raw per-seed values (long-format
 CSV) plus deterministic metadata for the JSON sidecar. Reports are
 byte-identical across thread counts and reruns; anything non-deterministic
 (wall clock) stays on the console.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import EnvironmentParams, pathloss_db
-from .placement import PlacementResult, PlacementSearch, SystemParams, _bandwidth_need
+from .placement import PlacementSearch, SystemParams, _bandwidth_need
 from .users import ClusterConfig, assign_weights, displace_users, sample_population
 
 MODES = ("network_centric", "user_centric")
@@ -90,20 +91,13 @@ class ExperimentReport:
 # =====================================================================
 
 
-def rate_cdf(result: PlacementResult, users, rate_set_mbps) -> list[float]:
-    """Fraction of served users with required rate <= each value of the set.
-
-    Evaluated at the rate-set points in the order given; reaches 1 at the
-    largest rate present. Errors on an empty served set.
-    """
-    served = np.array([u.rate_mbps for u, s in zip(users, result.selected) if s])
-    if len(served) == 0:
-        raise ValueError("no served users; CDF undefined")
-    return [float(np.mean(served <= rho)) for rho in rate_set_mbps]
-
-
 def rate_cdf_from_rates(served_rates, rate_set_mbps) -> list[float]:
-    """CDF over an explicit pool of served rates (multi-seed aggregation)."""
+    """Fraction of the served rates at or under each value of the rate set.
+
+    ``served_rates`` may pool several seeds and modes. Evaluated at the
+    rate-set points in the order given; reaches 1 at the largest rate
+    present. Errors on an empty pool.
+    """
     rates = np.asarray(served_rates, dtype=float)
     if len(rates) == 0:
         raise ValueError("no served users; CDF undefined")
@@ -115,7 +109,8 @@ def rate_cdf_from_rates(served_rates, rate_set_mbps) -> list[float]:
 # =====================================================================
 
 
-def _population(sys: SystemParams, cluster: ClusterConfig, rate_set_mbps, seed, mode):
+def population(sys: SystemParams, cluster: ClusterConfig, rate_set_mbps, seed, mode):
+    """Seed ``seed``'s users weighted for ``mode``, and the sampler's resample count."""
     sample = sample_population(sys.bounds, cluster, rate_set_mbps, seed)
     return assign_weights(sample.users, mode), sample.resamples
 
@@ -143,15 +138,12 @@ def backhaul_sweep(
     }
     resamples = []
     for si, seed in enumerate(spec.seeds):
-        users, n_resamples = _population(sys, cluster, rate_set_mbps, seed, spec.mode)
+        users, n_resamples = population(sys, cluster, rate_set_mbps, seed, spec.mode)
         resamples.append(n_resamples)
-        weights = [u.weight for u in users]
         search = PlacementSearch(users, sys, env)
         warm = None
         for xi in range(n_x):  # values are strictly increasing, so warm is valid
-            r_cap = float(spec.backhaul_values_mbps[xi])
-            best = search.solve(weights, r_cap, warm_value=warm)
-            res = search.result(best, weights, backhaul_mbps=r_cap)
+            res = search.place(spec.backhaul_values_mbps[xi], warm_value=warm)
             warm = res.objective
             metrics["served_count"][si, xi] = res.served_count
             metrics["objective"][si, xi] = res.objective
@@ -194,11 +186,9 @@ def robustness_eval(
     metrics = {name: np.zeros((len(spec.seeds), n_x)) for name in names}
     resamples = []
     for si, seed in enumerate(spec.seeds):
-        users, n_resamples = _population(sys, cluster, rate_set_mbps, seed, spec.mode)
+        users, n_resamples = population(sys, cluster, rate_set_mbps, seed, spec.mode)
         resamples.append(n_resamples)
-        base = PlacementSearch(users, sys, env)
-        weights = [u.weight for u in users]
-        result = base.result(base.solve(weights, sys.backhaul_mbps), weights)
+        result = PlacementSearch(users, sys, env).place()
         served_idx = np.flatnonzero(np.array(result.selected))
         n_served = len(served_idx)
         if n_served == 0:

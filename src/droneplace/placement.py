@@ -12,7 +12,9 @@ is lexicographic, so that users can move without the drone having to:
    within that margin.
 
 When the optimum serves nobody (no reachable user, or no budget) there is
-no margin to widen, and the first candidate in grid order wins.
+no margin to widen, and the first candidate in grid order wins. A fixed
+position is scored by the same search on a one-point grid
+(:func:`evaluate_position`), so the two cannot apply different rules.
 
 A best-first grid scan finds the maximum objective: candidates go by
 eligible weight sum, highest first, and are screened in blocks by an
@@ -148,6 +150,10 @@ class PlacementResult:
         """Total required rate of the served users (equals the backhaul draw)."""
         return self.rate_used_mbps
 
+    def served(self, users):
+        """The users this result selects, in their original order."""
+        return [u for u, s in zip(users, self.selected) if s]
+
 
 def _axis_points(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive ticks from lo by step; a short final step is clamped to hi."""
@@ -237,13 +243,18 @@ class PlacementSearch:
     (:meth:`bw_rows`), and kept for later calls; ``rows_computed`` and
     ``links_computed`` count the (row, layer) pairs and the eligible links
     whose need has been computed.
+
+    ``axes`` replaces the grid's x, y and h ticks (:func:`_grid_axes`); one
+    tick per axis scores a fixed position (:func:`evaluate_position`).
     """
 
-    def __init__(self, users, sys: SystemParams, env: EnvironmentParams):
+    def __init__(self, users, sys: SystemParams, env: EnvironmentParams, axes=None):
         self.users = list(users)
         self.sys = sys
         self.env = env
-        self.xs, self.ys, self.hs = _grid_axes(sys)
+        if axes is None:
+            axes = _grid_axes(sys)
+        self.xs, self.ys, self.hs = (np.asarray(a, dtype=float) for a in axes)
         self.n_candidates = len(self.xs) * len(self.ys) * len(self.hs)
 
         n = len(self.users)
@@ -323,6 +334,18 @@ class PlacementSearch:
         row, lay = divmod(c, n_h)
         ix, iy = divmod(row, n_y)
         return Placement(float(self.xs[ix]), float(self.ys[iy]), float(self.hs[lay]))
+
+    def place(
+        self, backhaul_mbps: float | None = None, warm_value: float | None = None
+    ) -> PlacementResult:
+        """Best placement for the users' own weights: :meth:`solve`, then :meth:`result`.
+
+        ``backhaul_mbps`` defaults to the scenario's; ``warm_value`` is as
+        in :meth:`solve`.
+        """
+        R = self.sys.backhaul_mbps if backhaul_mbps is None else float(backhaul_mbps)
+        weights = [u.weight for u in self.users]
+        return self.result(self.solve(weights, R, warm_value=warm_value), weights, R)
 
     def solve(self, weights, backhaul_mbps: float, warm_value: float | None = None):
         """Best placement; returns (candidate_index, served_pool_mask, selection).
@@ -693,48 +716,20 @@ def _select_all(inst: SelectionInstance) -> SelectionResult:
 def evaluate_position(users, placement: Placement, sys: SystemParams, env) -> SelectionResult:
     """Exact selection optimum with the drone fixed at one position.
 
-    Users beyond the pathloss threshold are excluded up front; the returned
-    ``selected`` runs over the full user list (excluded users are False).
-    Among optimal selections, the one with the widest worst-case pathloss
-    margin is served: the lexicographically first optimum of the users
-    within that margin, the same rule the grid search applies.
+    The grid search on a one-point grid, so the same rule applies: users
+    beyond the pathloss threshold are excluded, and among optimal selections
+    the one with the widest worst-case pathloss margin is served, the
+    lexicographically first optimum of the users within that margin. The
+    returned ``selected`` runs over the full user list.
     """
-    users = list(users)
-    ux = np.array([u.x_m for u in users])
-    uy = np.array([u.y_m for u in users])
-    rates = np.array([u.rate_mbps for u in users])
-    weights = np.array([u.weight for u in users])
-    dist = np.hypot(ux - placement.x_m, uy - placement.y_m)
-    pl = pathloss_db(dist, placement.h_m, env, sys.carrier_hz)
-    bw = _bandwidth_need(pl, rates, sys)
-    mask = pl <= sys.pl_max_db
-    inst = SelectionInstance(
-        weights[mask], rates[mask], bw[mask], sys.backhaul_mbps, sys.bandwidth_mhz
-    )
-    if (
-        np.sum(inst.rates_mbps) <= sys.backhaul_mbps + _SEARCH_EPS
-        and np.sum(inst.bandwidths_mhz) <= sys.bandwidth_mhz + _SEARCH_EPS
-    ):
-        res = _select_all(inst)
-    else:
-        res = solve_bnb(inst)
-    if res.served_count:
-        R, B, target = sys.backhaul_mbps, sys.bandwidth_mhz, res.objective
-        _, keep, res = _margin_cut(
-            inst.weights, inst.rates_mbps, inst.bandwidths_mhz, R, B, target, math.inf, True
-        )
-        mask[np.flatnonzero(mask)[~keep]] = False
-        if res is None:
-            inst = SelectionInstance(weights[mask], rates[mask], bw[mask], R, B)
-            res = solve_bnb(inst, prune_below=target - 2 * TIE_EPS)
-    full = np.zeros(len(users), dtype=bool)
-    full[np.flatnonzero(mask)[list(res.selected)]] = True
+    axes = ([placement.x_m], [placement.y_m], [placement.h_m])
+    res = PlacementSearch(users, sys, env, axes=axes).place()
     return SelectionResult(
-        selected=tuple(bool(v) for v in full),
-        objective=float(np.sum(weights[full])),
-        rate_used_mbps=float(np.sum(rates[full])),
-        bandwidth_used_mhz=float(np.sum(bw[full])),
-        nodes_explored=res.nodes_explored,
+        selected=res.selected,
+        objective=res.objective,
+        rate_used_mbps=res.rate_used_mbps,
+        bandwidth_used_mhz=res.bandwidth_used_mhz,
+        nodes_explored=res.solver_nodes,
     )
 
 
@@ -748,7 +743,4 @@ def optimal_placement(
     order (see the module docstring). ``threads`` is accepted for
     compatibility; the search runs on the calling thread.
     """
-    search = PlacementSearch(users, sys, env)
-    weights = [u.weight for u in users]
-    best = search.solve(weights, sys.backhaul_mbps)
-    return search.result(best, weights)
+    return PlacementSearch(users, sys, env).place()

@@ -6,6 +6,8 @@ import os
 import pytest
 
 from droneplace.cli import main
+from droneplace.experiments import rate_cdf_from_rates
+from droneplace.users import read_users_csv
 
 # a scenario small enough that every subcommand finishes in well under a second
 SMALL = {
@@ -165,6 +167,26 @@ def test_cdf_pools_both_modes(tmp_path, small_cfg):
         assert all(a <= b for a, b in zip(cdf, cdf[1:]))
     meta = json.loads((out / next(f for f in os.listdir(out) if f.endswith(".meta.json"))).read_text())
     assert set(meta["cdf"]) == {"network_centric", "user_centric"}
+
+    # the table pools only served users: it equals the CDF of the served
+    # sets `place` writes for the same seeds, which differs from everyone's
+    users_dir = tmp_path / "users"
+    assert run_cli("gen-users", "--config", small_cfg, "--output-dir", str(users_dir)) == 0
+    everyone = [u.rate_mbps for f in sorted(users_dir.iterdir()) for u in read_users_csv(f)]
+    for mode, cdf in by_mode.items():
+        rate_set = [float(line.split(",")[1]) for line in lines[1:] if line.startswith(mode + ",")]
+        place_dir = tmp_path / f"place_{mode}"
+        for seed in SMALL["seeds"]:
+            assert run_cli("place", "--config", small_cfg, "--mode", mode, "--seed", str(seed),
+                           "--output-dir", str(place_dir)) == 0
+        served = [
+            u.rate_mbps
+            for f in sorted(place_dir.glob("served_seed*.csv"))
+            for u in read_users_csv(f)
+        ]
+        assert len(served) < len(everyone)
+        assert cdf == rate_cdf_from_rates(served, rate_set)
+        assert cdf != rate_cdf_from_rates(everyone, rate_set)
 
 
 def test_experiment_outputs_are_thread_invariant(tmp_path, small_cfg):

@@ -9,7 +9,6 @@ from droneplace.experiments import (
     RobustnessSpec,
     SweepSpec,
     backhaul_sweep,
-    rate_cdf,
     rate_cdf_from_rates,
     robustness_eval,
     write_report_csv,
@@ -74,27 +73,27 @@ def user_at(i, rate):
 
 
 def test_cdf_of_a_degenerate_rate_distribution_is_flat_one():
-    users = [user_at(i, 0.1) for i in range(5)]
-    cdf = rate_cdf(fake_result([True] * 5), users, RATES)
+    cdf = rate_cdf_from_rates([0.1] * 5, RATES)
     assert cdf == [1.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_cdf_of_a_two_point_distribution():
-    users = [user_at(0, 0.1), user_at(1, 2.0), user_at(2, 0.1), user_at(3, 2.0)]
-    cdf = rate_cdf(fake_result([True] * 4), users, RATES)
+    cdf = rate_cdf_from_rates([0.1, 2.0, 0.1, 2.0], RATES)
     assert cdf[0] == 0.5
     assert cdf[-1] == 1.0
 
 
 def test_cdf_counts_only_served_users():
     users = [user_at(0, 0.1), user_at(1, 2.0)]
-    cdf = rate_cdf(fake_result([True, False]), users, RATES)
+    served = fake_result([True, False]).served(users)
+    assert served == [users[0]]
+    cdf = rate_cdf_from_rates([u.rate_mbps for u in served], RATES)
     assert cdf == [1.0] * 5
 
 
 def test_cdf_requires_a_served_user():
     with pytest.raises(ValueError, match="served"):
-        rate_cdf(fake_result([False, False]), [user_at(0, 0.1), user_at(1, 1.0)], RATES)
+        rate_cdf_from_rates(np.array([]), RATES)
     with pytest.raises(ValueError, match="served"):
         rate_cdf_from_rates([], RATES)
 

@@ -128,8 +128,17 @@ def test_colocated_users_with_slack_budgets_are_all_served():
     assert res.objective == 10.0
 
 
+def check_fixed_position(users, pos, sys):
+    """evaluate_position's served set and objective are the widest-margin
+    oracle's on a one-candidate list; returns the served set."""
+    res = evaluate_position(users, pos, sys, URBAN)
+    _, objective, served = widest_margin_oracle(users, sys, candidates=[pos])
+    assert res.selected == served
+    assert res.objective == objective
+    return served
+
+
 def test_agrees_with_brute_force_at_a_fixed_position():
-    sys = default_system(backhaul_mbps=3.0)
     rng = np.random.default_rng(3)
     users = [
         User(
@@ -140,27 +149,43 @@ def test_agrees_with_brute_force_at_a_fixed_position():
         )
         for i in range(12)
     ]
-    pos = Placement(1000.0, 1000.0, 300.0)
-    res = evaluate_position(users, pos, sys, URBAN)
+    check_fixed_position(users, Placement(1000.0, 1000.0, 300.0), default_system(backhaul_mbps=3.0))
 
-    dist = np.hypot(
-        np.array([u.x_m for u in users]) - pos.x_m,
-        np.array([u.y_m for u in users]) - pos.y_m,
-    )
-    pl = pathloss_db(dist, pos.h_m, URBAN, sys.carrier_hz)
-    mask = pl <= sys.pl_max_db
-    rates = np.array([u.rate_mbps for u in users])
-    bw = rates / spectral_efficiency(pl, sys)
-    oracle = solve_brute_force(
-        SelectionInstance(
-            np.ones(int(np.sum(mask))),
-            rates[mask],
-            bw[mask],
-            sys.backhaul_mbps,
-            sys.bandwidth_mhz,
-        )
-    )
-    assert res.objective == oracle.objective
+
+def test_fixed_position_serves_the_oracles_set_off_the_grid():
+    """evaluate_position applies the grid search's rule off the grid too, in
+    both modes, with budgets that bind and users within 1e-6 m of the
+    threshold."""
+    rng = np.random.default_rng(17)
+    edge_served = binding = 0
+    for R, B in ((2.0, 15.0), (100.0, 0.3), (100.0, 100.0)):
+        sys = default_system(backhaul_mbps=R, bandwidth_mhz=B)
+        for pos in (Placement(1234.5, 987.25, 237.5), Placement(2718.3, 3141.6, 333.3)):
+            edge = coverage_radius_m(sys, pos.h_m)
+            for mode in ("network_centric", "user_centric"):
+                # ten users over the coverage disc and just past it, then one
+                # 1e-6 m inside the threshold and one 1e-6 m outside
+                dist = np.append(rng.uniform(0.0, 1.2 * edge, 10), [edge - 1e-6, edge + 1e-6])
+                angle = rng.uniform(0.0, 2 * np.pi, len(dist))
+                users = assign_weights([
+                    User(
+                        id=i,
+                        x_m=float(pos.x_m + d * np.cos(a)),
+                        y_m=float(pos.y_m + d * np.sin(a)),
+                        rate_mbps=float(rng.choice([0.1, 0.5, 1.0, 1.5, 2.0])),
+                    )
+                    for i, (d, a) in enumerate(zip(dist, angle))
+                ], mode)
+                pl = pathloss_db(
+                    np.hypot([u.x_m - pos.x_m for u in users], [u.y_m - pos.y_m for u in users]),
+                    pos.h_m, URBAN, sys.carrier_hz,
+                )
+                assert pl[-2] <= sys.pl_max_db < pl[-1]
+                served = np.array(check_fixed_position(users, pos, sys))
+                w = np.array([u.weight for u in users])
+                edge_served += served[-2]
+                binding += w[served].sum() < w[pl <= sys.pl_max_db].sum()
+    assert edge_served and binding
 
 
 def test_user_just_past_the_pathloss_threshold_is_excluded():
@@ -375,22 +400,25 @@ def scattered_users(rng, n, span=600.0, weighted=False):
     return assign_weights(users, "user_centric" if weighted else "network_centric")
 
 
-def widest_margin_oracle(users, sys, solve=solve_brute_force):
+def widest_margin_oracle(users, sys, solve=solve_brute_force, candidates=None):
     """The placement rule restated by enumeration.
 
-    Every candidate and every pathloss-sorted prefix of its eligible users
-    is solved exactly, by full enumeration unless ``solve`` says otherwise.
-    The best objective comes first; among all (candidate, prefix) pairs
-    reaching it, the largest worst-case pathloss margin; then the first
-    candidate in grid order. The served set is the solver's
-    (lexicographically first) optimum of that prefix.
+    Every candidate (by default the whole grid, in grid order) and every
+    pathloss-sorted prefix of its eligible users is solved exactly, by full
+    enumeration unless ``solve`` says otherwise. The best objective comes
+    first; among all (candidate, prefix) pairs reaching it, the largest
+    worst-case pathloss margin; then the first candidate in the list. The
+    served set is the solver's (lexicographically first) optimum of that
+    prefix.
     """
+    if candidates is None:
+        candidates = candidate_grid(sys)
     ux = np.array([u.x_m for u in users])
     uy = np.array([u.y_m for u in users])
     rates = np.array([u.rate_mbps for u in users])
     weights = np.array([u.weight for u in users])
     entries = []
-    for index, p in enumerate(candidate_grid(sys)):
+    for index, p in enumerate(candidates):
         pl = pathloss_db(np.hypot(ux - p.x_m, uy - p.y_m), p.h_m, URBAN, sys.carrier_hz)
         bw = rates / spectral_efficiency(pl, sys)
         for worst in np.unique(pl[pl <= sys.pl_max_db]):
@@ -405,7 +433,8 @@ def widest_margin_oracle(users, sys, solve=solve_brute_force):
     _, _, index, m, res = min((e for e in ties if e[1] == margin), key=lambda e: e[2])
     served = np.zeros(len(users), dtype=bool)
     served[np.flatnonzero(m)[list(res.selected)]] = True
-    return candidate_grid(sys)[index], best, tuple(bool(v) for v in served)
+    return candidates[index], best, tuple(bool(v) for v in served)
+
 
 
 def test_matches_an_exhaustive_scan_of_the_grid():

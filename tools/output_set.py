@@ -9,7 +9,10 @@ under OUTDIR:
   population seeds 0-63;
 - ``sweep_threads1/`` and ``sweep_threads2/``: network-centric
   ``sweep-backhaul`` for seeds 0 and 1, one seed per invocation, at
-  ``--threads`` 1 and 2.
+  ``--threads`` 1 and 2;
+- ``robustness_network_centric/`` and ``robustness_user_centric/``:
+  ``robustness`` on the default seeds;
+- ``cdf/``: ``cdf`` on the default seeds (it runs both modes).
 
 A change that must leave results alone is checked by running this in two
 checkouts and comparing the trees with ``diff -r``. Exits 1 if any
@@ -38,6 +41,9 @@ def invocations(out: Path):
         for seed in SWEEP_SEEDS:
             yield ["sweep-backhaul", "--mode", "network_centric", "--seed", str(seed),
                    "--threads", str(threads), "--output-dir", str(out / f"sweep_threads{threads}")]
+    for mode in ("network_centric", "user_centric"):
+        yield ["robustness", "--mode", mode, "--output-dir", str(out / f"robustness_{mode}")]
+    yield ["cdf", "--output-dir", str(out / "cdf")]
 
 
 def main(argv=None) -> int:
