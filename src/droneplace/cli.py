@@ -33,6 +33,7 @@ from .experiments import (
     population,
     rate_cdf_from_rates,
     robustness_eval,
+    served_rates,
     write_report_csv,
     write_report_metadata,
 )
@@ -205,14 +206,14 @@ def _cmd_robustness(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
 
 
 def _cmd_cdf(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
+    served: dict[str, list[float]] = {mode: [] for mode in MODES}
+    for seed in cfg.seeds:
+        rates = served_rates(cfg.system, cfg.environment, cfg.cluster, cfg.rate_set_mbps, seed)
+        for mode in MODES:
+            served[mode].extend(rates[mode])
     rows = []
     pooled: dict[str, list[float]] = {}
-    for mode in MODES:
-        rates: list[float] = []
-        for seed in cfg.seeds:
-            users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
-            result = PlacementSearch(users, cfg.system, cfg.environment).place()
-            rates.extend(u.rate_mbps for u in result.served(users))
+    for mode, rates in served.items():
         cdf = rate_cdf_from_rates(rates, cfg.rate_set_mbps)
         pooled[mode] = cdf
         rows.extend((mode, rho, v) for rho, v in zip(cfg.rate_set_mbps, cdf))

@@ -115,6 +115,25 @@ def population(sys: SystemParams, cluster: ClusterConfig, rate_set_mbps, seed, m
     return assign_weights(sample.users, mode), sample.resamples
 
 
+def served_rates(
+    sys: SystemParams, env: EnvironmentParams, cluster: ClusterConfig, rate_set_mbps, seed
+) -> dict[str, list[float]]:
+    """Required rates of the users each mode serves at seed ``seed``'s best placement.
+
+    Positions, eligibility and link budgets do not depend on the mode, so
+    the seed is sampled once and one search places it for every mode.
+    """
+    users, _ = population(sys, cluster, rate_set_mbps, seed, MODES[0])
+    search = PlacementSearch(users, sys, env)
+    served = {}
+    for mode in MODES:
+        if mode != MODES[0]:
+            users = assign_weights(users, mode)
+        result = search.place(weights=[u.weight for u in users])
+        served[mode] = [u.rate_mbps for u in result.served(users)]
+    return served
+
+
 def backhaul_sweep(
     spec: SweepSpec,
     sys: SystemParams,

@@ -32,11 +32,15 @@ user inside the inner one is eligible, one beyond the outer one is not, and
 exact pathloss decides only in the thin shell between them. A link's
 bandwidth need is computed on demand, for the grid rows a screen actually
 reads (:meth:`PlacementSearch.bw_rows`); the screens that need no bandwidth
-go first.
+go first. The margin stage ranks each layer's candidates by a lower bound
+taken from distances alone, a per-layer table of 1/zeta at a few distance
+steps, and reads link budgets only for the candidates it reaches, best
+first (:meth:`PlacementSearch._contenders`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -71,6 +75,11 @@ _SQUARED_SLACK = 1e-9
 # halvings of the radius bracket; they only set how many links just past
 # the threshold get evaluated, never which links are eligible
 _RADIUS_BISECTIONS = 24
+# distance steps of each layer's 1/zeta table (see PlacementSearch._contenders)
+_TABLE_STEPS = 256
+# relative amount the table's 1/zeta values are lowered by, far above the
+# float error of a pathloss, zeta and key evaluation (about 1e-13)
+_TABLE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -299,6 +308,13 @@ class PlacementSearch:
         self._filled = [0 for _ in self.hs]
         self.rows_computed = 0
         self.links_computed = 0
+        # per layer, 1/zeta a little lowered at evenly spaced horizontal
+        # distances out to the outer radius; the margin stage orders its
+        # candidates by it before reading any link budget (see _contenders)
+        span = np.minimum(r_hi, reach)[:, None] * np.linspace(0.0, 1.0, _TABLE_STEPS + 1)
+        self._steps2 = span * span
+        pl = pathloss_db(span, self.hs[:, None], env, sys.carrier_hz)
+        self._inv_zeta = _bandwidth_need(pl, 1.0, sys) * (1.0 - _TABLE_SLACK)
 
     def bw_rows(self, lay: int, rows) -> np.ndarray:
         """Bandwidth need of grid rows ``rows`` on layer ``lay``, (len(rows), n) MHz.
@@ -336,15 +352,21 @@ class PlacementSearch:
         return Placement(float(self.xs[ix]), float(self.ys[iy]), float(self.hs[lay]))
 
     def place(
-        self, backhaul_mbps: float | None = None, warm_value: float | None = None
+        self,
+        backhaul_mbps: float | None = None,
+        warm_value: float | None = None,
+        weights=None,
     ) -> PlacementResult:
-        """Best placement for the users' own weights: :meth:`solve`, then :meth:`result`.
+        """Best placement: :meth:`solve`, then :meth:`result`.
 
-        ``backhaul_mbps`` defaults to the scenario's; ``warm_value`` is as
-        in :meth:`solve`.
+        ``backhaul_mbps`` defaults to the scenario's, and ``weights`` to the
+        users' own; ``warm_value`` is as in :meth:`solve`. Other weights
+        reuse the search's geometry and link budgets, as when both
+        weighting modes place the same population.
         """
         R = self.sys.backhaul_mbps if backhaul_mbps is None else float(backhaul_mbps)
-        weights = [u.weight for u in self.users]
+        if weights is None:
+            weights = [u.weight for u in self.users]
         return self.result(self.solve(weights, R, warm_value=warm_value), weights, R)
 
     def solve(self, weights, backhaul_mbps: float, warm_value: float | None = None):
@@ -496,21 +518,51 @@ class PlacementSearch:
     def _contenders(self, lay, w, R, target, cut, sum_w, by_ratio):
         """One layer's candidates that may reach ``target`` within ``cut``.
 
-        Yields (bound, candidate) by ascending bound, a lower bound on the
-        candidate's own cut: its users, taken by rising pathloss, first
-        carry the target weight at some user, and that user's 1/zeta key is
-        the bound. A candidate is screened out when its users at or under
-        ``cut`` lack the target weight or their backhaul-side fractional
-        fill falls short of the target. Weight per rate does not depend on
-        position, so the fill uses one global item order, ``by_ratio``.
-        Before any key is computed, a candidate goes whose whole eligible
-        set's fill falls short by more than twice the room: the fill is
-        monotone in the item set, so the later screen would drop it too.
-        This prescreen is skipped where it provably drops nothing, as with
-        user-centric weights, whose weight per rate is 1 throughout. The
-        screen on the cut runs block by block as the caller consumes, since
-        the visit usually ends early. Rows go in blocks so the temporaries
-        stay small.
+        Yields (bound, candidate) by ascending bound, then grid order. The
+        bound is a lower bound on the candidate's own cut: its users, taken
+        by rising pathloss, first carry the target weight at some user, and
+        that user's 1/zeta key is the bound. A candidate is screened out
+        when its users at or under ``cut`` lack the target weight or their
+        backhaul-side fractional fill falls short of the target. Weight per
+        rate does not depend on position, so the fill uses one global item
+        order, ``by_ratio``. Before anything else, a candidate goes whose
+        whole eligible set's fill falls short by more than twice the room:
+        the fill is monotone in the item set, so the later screen would drop
+        it too. This prescreen is skipped where it provably drops nothing,
+        as with user-centric weights, whose weight per rate is 1 throughout.
+
+        The visit usually ends after a few candidates, so link budgets are
+        read lazily, best first, by a distance bound (the A* scheme of Hart,
+        Nilsson and Raphael, 1968). Pathloss, and with it 1/zeta, rises
+        strictly with horizontal distance, and a key ``bw / rates`` is 1/zeta
+        up to a few ulp. The layer's table (built with the search) holds
+        1/zeta lowered by ``_TABLE_SLACK`` at a few distance steps, so:
+
+        - a user whose key is at or under ``cut`` lies nearer than the
+          first step whose table value exceeds ``cut``. So the candidates
+          whose users within that radius carry ``floor - TIE_EPS`` include
+          every one whose users at or under ``cut`` carry ``floor``
+          (:meth:`_distance_screen`);
+        - the users at or under a candidate's bound carry ``floor``, and
+          none of them lies farther than its bound's user, give or take
+          float error. Summed in distance order they carry at least
+          ``floor - TIE_EPS``, since reordering a sum moves it by far less
+          than ``TIE_EPS``. So they first do so at some distance ``d*``
+          no farther than the bound's user, and the table at the last step
+          at or under ``d*`` is at most the bound.
+
+        The slack covers the float error of 1/zeta, of a key against it, and
+        of squared distances against ``np.hypot``, many times over.
+
+        Candidates go by that lower bound; the exact key, bound and both
+        screens run on blocks of ``_SCREEN`` of them, into a heap. The
+        heap's head is yielded only while it lies strictly below the next
+        lower bound not yet evaluated, since every such candidate's bound is
+        at least its lower bound; on a tie the next block goes first, as it
+        may hold the same bound earlier in grid order. So the sequence is
+        that of evaluating every candidate and sorting, and a consumer that
+        stops at a bound over its cut sees the same prefix. Rows go in
+        blocks so the temporaries stay small.
         """
         floor = target - 2 * TIE_EPS
         n_h = len(self.hs)
@@ -519,31 +571,68 @@ class PlacementSearch:
         # a set worth `floor` fills at least min(floor, R * its lowest weight
         # per rate); when that reaches the target, no row can fail the fill
         prescreen = R * w_g[-1] / r_g[-1] < target - _LP_ROOM
-        bounds, rows = [], []
         candidates = np.flatnonzero(sum_w[:, lay] >= floor)
+        rows, lower = [candidates[:0]], [np.empty(0)]
         for lo in range(0, len(candidates), _CHUNK):
             blk = candidates[lo:lo + _CHUNK]
             if prescreen:
                 blk = blk[_rate_fill(el[blk][:, by_ratio], w_g, r_g, R) >= target - 2 * _LP_ROOM]
+            near, lb = self._distance_screen(lay, blk, w, floor, cut)
+            rows.append(blk[near])
+            lower.append(lb)
+        rows, lower = np.concatenate(rows), np.concatenate(lower)
+        rank = np.lexsort((rows, lower))
+        lower, rows = lower[rank], rows[rank]
+
+        heap = []
+        for lo in range(0, len(rows), _SCREEN):
+            while heap and heap[0][0] < lower[lo]:
+                yield heapq.heappop(heap)
+            blk = rows[lo:lo + _SCREEN]
             key = np.where(el[blk], self.bw_rows(lay, blk) / self.rates, np.inf)
             heavy = (key <= cut) @ w >= floor
             blk, key = blk[heavy], key[heavy]
             order = np.argsort(key, axis=1)
             first = np.argmax(np.cumsum(w[order], axis=1) >= floor, axis=1)
             at = np.arange(len(blk))
-            bounds.append(key[at, order[at, first]])
-            rows.append(blk)
-        if not rows:
-            return
-        bounds, rows = np.concatenate(bounds), np.concatenate(rows)
-        rank = np.lexsort((rows, bounds))
-        bounds, rows = bounds[rank], rows[rank]
-
-        for lo in range(0, len(rows), _SCREEN):
-            blk = rows[lo:lo + _SCREEN]
-            inside = el[blk] & (self.bw_rows(lay, blk) / self.rates <= cut)
+            bound = key[at, order[at, first]]
+            inside = el[blk] & (key <= cut)
             ok = _rate_fill(inside[:, by_ratio], w_g, r_g, R) >= target - _LP_ROOM
-            yield from zip(bounds[lo:lo + _SCREEN][ok].tolist(), (blk[ok] * n_h + lay).tolist())
+            for item in zip(bound[ok].tolist(), (blk[ok] * n_h + lay).tolist()):
+                heapq.heappush(heap, item)
+        while heap:
+            yield heapq.heappop(heap)
+
+    def _distance_screen(self, lay, rows, w, floor: float, cut: float):
+        """Distance-only screen and lower bounds of grid rows on layer ``lay``.
+
+        Every user whose key is at or under ``cut`` lies within the radius
+        of the first table step whose value exceeds ``cut``. Returns a mask
+        of the rows whose eligible users within that radius carry ``floor -
+        TIE_EPS``, and for each kept row a lower bound on the 1/zeta key at
+        which its users, taken by rising pathloss, first carry ``floor``:
+        the layer's table at the last step at or under the distance where
+        they first carry ``floor - TIE_EPS`` (see :meth:`_contenders`).
+        Reads no link budget.
+        """
+        steps2, inv_zeta = self._steps2[lay], self._inv_zeta[lay]
+        over = np.flatnonzero(inv_zeta > cut)
+        r2 = steps2[over[0]] * (1.0 + _SQUARED_SLACK) if len(over) else np.inf
+        carry = floor - TIE_EPS
+        dx = self._gx[rows, None] - self._ux
+        dy = self._gy[rows, None] - self._uy
+        d2 = dx * dx + dy * dy
+        el = self.eligible[lay][rows]
+        near = (el & (d2 <= r2)) @ w >= carry
+        d2 = np.where(el[near], d2[near], np.inf)
+        order = np.argsort(d2, axis=1)
+        cum = np.cumsum(w[order], axis=1)
+        first = np.argmax(cum >= carry, axis=1)
+        at = np.arange(len(d2))
+        # a row whose users never carry it (float noise at the screen's
+        # edge) gets the table's least value
+        d_star2 = np.where(cum[at, first] >= carry, d2[at, order[at, first]], 0.0)
+        return near, inv_zeta[np.searchsorted(steps2, d_star2, side="right") - 1]
 
     def result(self, best, weights, backhaul_mbps: float | None = None) -> PlacementResult:
         """Expand the output of :meth:`solve` into a verified PlacementResult."""

@@ -151,6 +151,21 @@ def test_robustness_outputs(tmp_path, small_cfg):
     assert zero_delta_drops == [0.0, 0.0]
 
 
+def test_cdf_places_both_modes_with_one_search_per_seed(tmp_path, small_cfg, monkeypatch):
+    from droneplace.placement import PlacementSearch
+
+    built = []
+    init = PlacementSearch.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlacementSearch, "__init__", spy)
+    assert run_cli("cdf", "--config", small_cfg, "--output-dir", str(tmp_path / "out")) == 0
+    assert len(built) == len(SMALL["seeds"])
+
+
 def test_cdf_pools_both_modes(tmp_path, small_cfg):
     out = tmp_path / "out"
     assert run_cli("cdf", "--config", small_cfg, "--output-dir", str(out)) == 0

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from droneplace.channel import EnvironmentParams, pathloss_db, spectral_efficiency
+from droneplace.config import load_config
+from droneplace.experiments import population
 from droneplace.placement import (
+    _LP_ROOM,
     _RADIUS_MARGIN_DB,
     Placement,
     PlacementSearch,
@@ -17,6 +20,7 @@ from droneplace.placement import (
     optimal_placement,
 )
 from droneplace.selection import (
+    TIE_EPS,
     SelectionInstance,
     _fractional_fill,
     solve_bnb,
@@ -343,7 +347,6 @@ def test_link_budgets_are_computed_on_demand_and_once(monkeypatch):
     """A default-grid network-centric solve reads the bandwidth need of few
     (row, layer) pairs; a later solve at a higher backhaul recomputes none."""
     from droneplace import placement
-    from droneplace.config import load_config
 
     cfg = load_config()
     users = assign_weights(
@@ -380,6 +383,241 @@ def test_link_budgets_are_computed_on_demand_and_once(monkeypatch):
     assert search.result(search.solve(w, 2 * R), w, 2 * R) == fresh.result(
         fresh.solve(w, 2 * R), w, 2 * R
     )
+
+    # user-centric weights: the margin stage once read the link budgets of
+    # most candidates on this seed (59% of the (row, layer) pairs) only to
+    # rank them; ranked by distance first, it reads those of a few
+    users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, 28, "user_centric")
+    search = PlacementSearch(users, cfg.system, cfg.environment)
+    search.solve([u.weight for u in users], R)
+    assert 0 < search.rows_computed < search.n_candidates / 8
+
+
+# ---------------------------------------------------------------------
+# margin stage: contenders evaluated lazily
+# ---------------------------------------------------------------------
+
+
+def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
+    """The margin stage's contenders with every candidate evaluated up front.
+
+    The reference for ``PlacementSearch._contenders``: each candidate with
+    the target weight (and, where it can drop anything, a whole-set fill
+    reaching it) gets its exact 1/zeta keys, the screen on the weight within
+    ``cut``, and its bound; the rest are sorted by (bound, candidate), and
+    those whose fill within ``cut`` falls short are screened out.
+    """
+    floor = target - 2 * TIE_EPS
+    n_h = len(search.hs)
+    el = search.eligible[lay]
+    w_g, r_g = w[by_ratio], search.rates[by_ratio]
+    prescreen = R * w_g[-1] / r_g[-1] < target - _LP_ROOM
+    rows = np.flatnonzero(sum_w[:, lay] >= floor)
+    if prescreen:
+        rows = rows[_rate_fill(el[rows][:, by_ratio], w_g, r_g, R) >= target - 2 * _LP_ROOM]
+    key = np.where(el[rows], search.bw_rows(lay, rows) / search.rates, np.inf)
+    heavy = (key <= cut) @ w >= floor
+    rows, key = rows[heavy], key[heavy]
+    order = np.argsort(key, axis=1)
+    first = np.argmax(np.cumsum(w[order], axis=1) >= floor, axis=1)
+    at = np.arange(len(rows))
+    bounds = key[at, order[at, first]]
+    inside = el[rows] & (key <= cut)
+    ok = _rate_fill(inside[:, by_ratio], w_g, r_g, R) >= target - _LP_ROOM
+    return sorted(zip(bounds[ok].tolist(), (rows[ok] * n_h + lay).tolist()))
+
+
+def margin_stage_inputs(search, w, R):
+    """What the margin stage hands ``_contenders``: the scan's objective, the
+    weight sums, the ratio order, and two cuts, the scan winner's loosest
+    and the margin stage's final one."""
+    n_h = len(search.hs)
+    sum_w = np.stack([el @ w for el in search.eligible], axis=1)
+    by_ratio = _ratio_order(w, search.rates)
+
+    def loosest(c, pool):
+        row, lay = divmod(c, n_h)
+        return float(np.max(search.bw_rows(lay, [row])[0][pool] / search.rates[pool]))
+
+    winner, mask, res = search._scan(w, R, sum_w, by_ratio, None)
+    c, pool, _ = search._widest_margin((winner, mask, res), w, R, sum_w, by_ratio)
+    return res.objective, sum_w, by_ratio, (loosest(winner, mask), loosest(c, pool))
+
+
+@pytest.mark.parametrize("seed", [0, 4, 14, 25, 28])
+def test_lazy_contenders_match_the_eager_order(seed):
+    cfg = load_config()
+    R = cfg.system.backhaul_mbps
+    for mode in ("network_centric", "user_centric"):
+        users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
+        search = PlacementSearch(users, cfg.system, cfg.environment)
+        w = np.array([u.weight for u in users])
+        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
+        yielded = 0
+        for cut in cuts:
+            for lay in range(len(search.hs)):
+                args = (lay, w, R, target, cut, sum_w, by_ratio)
+                got = list(search._contenders(*args))
+                assert got == eager_contenders(search, *args)
+                yielded += len(got)
+        assert yielded > 0
+
+
+def lattice_users(mode):
+    """100 users on a 100 m lattice offset by 50 m from the grid's.
+
+    Grid points see users at exactly equal distances, both several users
+    around one point and the same pattern around many points; rates repeat
+    every three lattice steps, so equal-distance users have rates 0.1, 1.0
+    and 1.5 Mbps, whose 1/zeta keys ``(rate / zeta) / rate`` differ by an
+    ulp.
+    """
+    rates = (0.1, 1.0, 1.5)
+    users = [
+        User(id=10 * i + j, x_m=50.0 + 100.0 * i, y_m=50.0 + 100.0 * j,
+             rate_mbps=rates[(i + 2 * j) % 3])
+        for i in range(10)
+        for j in range(10)
+    ]
+    return assign_weights(users, mode)
+
+
+@pytest.mark.parametrize("screen", [1, 3, 64])
+def test_lazy_contenders_match_the_eager_order_on_exact_ties(monkeypatch, screen):
+    from droneplace import placement
+
+    # small blocks put equal bounds on both sides of a block boundary
+    monkeypatch.setattr(placement, "_SCREEN", screen)
+    sys = default_system(
+        bounds=AreaBounds(0.0, 1000.0, 0.0, 1000.0), h_max_m=200.0, backhaul_mbps=12.0
+    )
+    one_ulp = tied = 0
+    for mode in ("network_centric", "user_centric"):
+        users = lattice_users(mode)
+        search = PlacementSearch(users, sys, URBAN)
+        w = np.array([u.weight for u in users])
+        R = sys.backhaul_mbps
+        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
+        for lay in range(len(search.hs)):
+            key = search.bw_rows(lay, np.arange(len(sum_w))) / search.rates
+            finite = np.unique(key[np.isfinite(key)])
+            one_ulp += int(np.sum(np.diff(finite) <= np.spacing(finite[1:])))
+            for t in (target, 4 * min(w)):
+                for cut in (*cuts, *np.quantile(finite, [0.25, 0.5, 1.0])):
+                    args = (lay, w, R, t, float(cut), sum_w, by_ratio)
+                    got = list(search._contenders(*args))
+                    assert got == eager_contenders(search, *args)
+                    tied += sum(a[0] == b[0] for a, b in zip(got, got[1:]))
+    assert one_ulp > 0 and tied > 0
+
+
+def exact_bounds(search, lay, rows, w, floor):
+    """Each row's key where its users, taken by key, first carry ``floor``."""
+    key = np.where(search.eligible[lay][rows], search.bw_rows(lay, rows) / search.rates, np.inf)
+    order = np.argsort(key, axis=1)
+    first = np.argmax(np.cumsum(w[order], axis=1) >= floor, axis=1)
+    at = np.arange(len(rows))
+    return key[at, order[at, first]]
+
+
+@pytest.mark.parametrize("seed", [4, 28])
+def test_distance_bounds_are_admissible(seed):
+    """On every candidate with the target weight, the table's lower bound is
+    at most the exact bound, and the radius screen keeps every candidate the
+    exact screen on the weight within the cut keeps."""
+    cfg = load_config()
+    R = cfg.system.backhaul_mbps
+    for mode in ("network_centric", "user_centric"):
+        users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
+        search = PlacementSearch(users, cfg.system, cfg.environment)
+        w = np.array([u.weight for u in users])
+        target, sum_w, _, cuts = margin_stage_inputs(search, w, R)
+        floor = target - 2 * TIE_EPS
+        for lay in range(len(search.hs)):
+            rows = np.flatnonzero(sum_w[:, lay] >= floor)
+            near, lb = search._distance_screen(lay, rows, w, floor, np.inf)
+            assert np.all(near)
+            assert np.all(lb <= exact_bounds(search, lay, rows, w, floor))
+            key = np.where(search.eligible[lay][rows], search.bw_rows(lay, rows) / search.rates, np.inf)
+            finite = key[np.isfinite(key)]
+            for cut in (*cuts, *np.quantile(finite, [0.1, 0.5, 0.9])):
+                heavy = (key <= cut) @ w >= floor
+                near, _ = search._distance_screen(lay, rows, w, floor, float(cut))
+                assert np.all(near[heavy])
+
+
+def test_distance_bounds_hold_at_the_table_steps():
+    """Users at some of each layer's table distances and 1e-6 m either side,
+    along an axis and a diagonal, five rates at each spot: where the j-th
+    nearest user first carries the weight, the lower bound is at most the
+    j-th smallest key, and a cut at that key keeps the candidate. At a table
+    distance itself the key can sit an ulp under the table's unlowered
+    value, which the table's slack must absorb."""
+    sys = default_system()
+    hs = sorted({p.h_m for p in candidate_grid(sys)})
+    axes = ([0.0], [0.0], hs)
+    # two users beyond every outer radius, at opposite corners of all the
+    # others, fix the span the radii are bisected over, and so the table
+    corners = [
+        User(id=0, x_m=-4000.0, y_m=-4000.0, rate_mbps=1.0),
+        User(id=1, x_m=4000.0, y_m=4000.0, rate_mbps=1.0),
+    ]
+    probe = PlacementSearch(corners, sys, URBAN, axes=axes)
+    users = list(corners)
+    for lay in range(len(hs)):
+        steps = np.sqrt(probe._steps2[lay])
+        for k in sorted({*range(0, len(steps), 32), 1, 2, len(steps) - 2, len(steps) - 1}):
+            for d in steps[k] + np.array([-1e-6, 0.0, 1e-6]):
+                for x, y in ((d, 0.0), (d / np.sqrt(2.0), d / np.sqrt(2.0))):
+                    users += [
+                        User(id=len(users) + i, x_m=float(x), y_m=float(y), rate_mbps=rate)
+                        for i, rate in enumerate((0.1, 0.3, 0.7, 1.0, 1.5))
+                    ]
+    search = PlacementSearch(users, sys, URBAN, axes=axes)
+    w = np.ones(len(users))
+    row = np.array([0])
+    checked = 0
+    for lay in range(len(hs)):
+        assert np.array_equal(search._steps2[lay], probe._steps2[lay])
+        key = search.bw_rows(lay, row)[0] / search.rates
+        ranked = np.sort(key[search.eligible[lay][0]])
+        for j, bound in enumerate(ranked, start=1):
+            floor = j - 2 * TIE_EPS
+            near, lb = search._distance_screen(lay, row, w, floor, np.inf)
+            assert near[0] and lb[0] <= bound
+            near, _ = search._distance_screen(lay, row, w, floor, float(bound))
+            assert near[0]
+            checked += 1
+    assert checked > 300
+
+
+def test_lazy_merge_is_exact_for_any_admissible_lower_bounds(monkeypatch):
+    """Lower bounds that equal the exact bound on some candidates and lie
+    below it on others, with many candidates tied on the bound: a head of
+    the heap that ties the next lower bound must wait for that block."""
+    from droneplace import placement
+
+    monkeypatch.setattr(placement, "_SCREEN", 1)
+    sys = default_system(
+        bounds=AreaBounds(0.0, 1000.0, 0.0, 1000.0), h_max_m=200.0, backhaul_mbps=12.0
+    )
+    for mode in ("network_centric", "user_centric"):
+        search = PlacementSearch(lattice_users(mode), sys, URBAN)
+        w = np.array([u.weight for u in search.users])
+        R = sys.backhaul_mbps
+        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
+        screen = search._distance_screen
+
+        def mixed(lay, rows, w, floor, cut):
+            near, lb = screen(lay, rows, w, floor, cut)
+            exact = exact_bounds(search, lay, rows[near], w, floor)
+            return near, np.where(rows[near] % 2 == 0, exact, lb)
+
+        monkeypatch.setattr(search, "_distance_screen", mixed)
+        for lay in range(len(search.hs)):
+            for cut in cuts:
+                args = (lay, w, R, target, cut, sum_w, by_ratio)
+                assert list(search._contenders(*args)) == eager_contenders(search, *args)
 
 
 # ---------------------------------------------------------------------
@@ -664,6 +902,16 @@ def test_search_object_reuse_matches_fresh_solves():
         ), URBAN)
         assert reused.placement == fresh.placement
         assert reused.selected == fresh.selected
+
+
+def test_place_with_other_weights_matches_a_search_of_those_users():
+    sys = small_system(backhaul_mbps=2.0)
+    users = scattered_users(np.random.default_rng(23), 12)
+    search = PlacementSearch(users, sys, URBAN)
+    for mode in ("user_centric", "network_centric"):
+        weighted = assign_weights(users, mode)
+        got = search.place(weights=[u.weight for u in weighted])
+        assert got == PlacementSearch(weighted, sys, URBAN).place()
 
 
 def test_warm_start_value_cannot_change_the_result():
