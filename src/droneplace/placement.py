@@ -26,16 +26,17 @@ a margin stage then applies steps 2 and 3 over every candidate, reading
 only the maximum from the scan. Both run on the calling thread; the
 ``threads`` arguments of the public entry points start no threads.
 
-Pathloss rises strictly with horizontal distance, so each altitude layer
-has two radii around the service threshold (:func:`_coverage_radii`): a
-user inside the inner one is eligible, one beyond the outer one is not, and
-exact pathloss decides only in the thin shell between them. A link's
-bandwidth need is computed on demand, for the grid rows a screen actually
-reads (:meth:`PlacementSearch.bw_rows`); the screens that need no bandwidth
-go first. The margin stage ranks each layer's candidates by a lower bound
-taken from distances alone, a per-layer table of 1/zeta at a few distance
-steps, and reads link budgets only for the candidates it reaches, best
-first (:meth:`PlacementSearch._contenders`).
+Pathloss rises strictly with horizontal distance, so one table per
+altitude layer, of pathloss at evenly spaced horizontal distances, serves
+both geometric screens. It gives the layer two radii around the service
+threshold: a user inside the inner one is eligible, one beyond the outer
+one is not, and exact pathloss decides only in the thin shell between
+them. A link's bandwidth need is computed on demand, for the grid rows a
+screen actually reads (:meth:`PlacementSearch.bw_rows`); the screens that
+need no bandwidth go first. The margin stage ranks each layer's candidates
+by a lower bound taken from distances alone, the same table's 1/zeta, and
+reads link budgets only for the candidates it reaches, best first
+(:meth:`PlacementSearch._contenders`).
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ import numpy as np
 
 from .channel import EnvironmentParams, pathloss_db, spectral_efficiency
 from .selection import (
-    _SEARCH_EPS,
     TIE_EPS,
     SelectionInstance,
     SelectionResult,
     _fractional_fill,
     _greedy_value,
+    _grid_floor,
     _value_grid,
     solve_bnb,
 )
@@ -67,16 +68,15 @@ _SCREEN = 64  # candidates per fill screen in the margin stage
 # times that much more; screens on those bounds leave this much room.
 _LP_ROOM = 1e-6
 # coverage radii sit this far either side of the service threshold, far
-# above the float error of a pathloss evaluation (see _coverage_radii)
+# above the float error of a pathloss evaluation (see PlacementSearch.__init__)
 _RADIUS_MARGIN_DB = 0.01
 # relative slack on squared radii, far above the rounding of dx*dx + dy*dy
 # against np.hypot(dx, dy)**2 (a few ulp)
 _SQUARED_SLACK = 1e-9
-# halvings of the radius bracket; they only set how many links just past
-# the threshold get evaluated, never which links are eligible
-_RADIUS_BISECTIONS = 24
-# distance steps of each layer's 1/zeta table (see PlacementSearch._contenders)
-_TABLE_STEPS = 256
+# distance steps of each layer's pathloss table; they only set how many
+# links near the threshold get exact pathloss and how tight the margin
+# stage's lower bounds are, never which links are eligible or the result
+_TABLE_STEPS = 1024
 # relative amount the table's 1/zeta values are lowered by, far above the
 # float error of a pathloss, zeta and key evaluation (about 1e-13)
 _TABLE_SLACK = 1e-9
@@ -206,40 +206,6 @@ def _bandwidth_need(pl, rates, sys: SystemParams):
         return np.where(zeta > 0, rates / zeta, np.inf)
 
 
-def _coverage_radii(hs, reach_m: float, sys: SystemParams, env: EnvironmentParams):
-    """Per altitude, horizontal radii ``(r_lo, r_hi)`` around the service threshold.
-
-    Bisects, for all altitudes at once, for a distance ``r_lo(h)`` whose
-    model pathloss is ``_RADIUS_MARGIN_DB`` under ``pl_max_db`` and one,
-    ``r_hi(h)``, whose pathloss exceeds it by as much. Pathloss rises
-    strictly with horizontal distance (free-space loss grows, and the
-    LoS-weighted excess can only grow since ``eta_nlos_db >= eta_los_db``),
-    and its float evaluation is off by about 1e-13 dB. The bisection keeps
-    ``r_lo`` where the evaluated pathloss is within ``pl_max_db -
-    _RADIUS_MARGIN_DB`` and ``r_hi`` where it is over ``pl_max_db +
-    _RADIUS_MARGIN_DB``. So a link nearer than ``r_lo`` evaluates at least
-    ``_RADIUS_MARGIN_DB - 2e-13`` dB under the threshold, and one farther
-    than ``r_hi`` as much over it: ``pathloss_db(dist) <= pl_max_db``
-    accepts every link inside ``r_lo`` and none beyond ``r_hi``. Where even
-    ``reach_m``, an upper bound on every link's distance, stays within the
-    bisected level, the radius is ``inf``; where even r = 0 is beyond
-    ``r_lo``'s level, there is no inner disc and ``r_lo`` is ``-inf``.
-    """
-    n_h = len(hs)
-    level = sys.pl_max_db + np.repeat([-_RADIUS_MARGIN_DB, _RADIUS_MARGIN_DB], n_h)
-    h = np.tile(np.asarray(hs, dtype=float), 2)
-    lo, hi = np.zeros(2 * n_h), np.full(2 * n_h, float(reach_m))
-    bounded = pathloss_db(hi, h, env, sys.carrier_hz) > level
-    for _ in range(_RADIUS_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        beyond = pathloss_db(mid, h, env, sys.carrier_hz) > level
-        lo, hi = np.where(beyond, lo, mid), np.where(beyond, mid, hi)
-    inner = pathloss_db(lo[:n_h], hs, env, sys.carrier_hz) <= level[:n_h]
-    r_lo = np.where(bounded[:n_h], np.where(inner, lo[:n_h], -np.inf), np.inf)
-    r_hi = np.where(bounded[n_h:], hi[n_h:], np.inf)
-    return r_lo, r_hi
-
-
 class PlacementSearch:
     """Grid scan with per-scenario precomputation, reusable across budgets.
 
@@ -247,11 +213,12 @@ class PlacementSearch:
     pathloss, so both are shared by every backhaul value and weighting of a
     sweep. Construction builds eligibility only, per altitude layer: a user
     inside the layer's inner radius is eligible, one beyond its outer radius
-    is not (:func:`_coverage_radii`), and exact pathloss decides the shell
-    between them. Bandwidth need is computed on demand, a grid row at a time
-    (:meth:`bw_rows`), and kept for later calls; ``rows_computed`` and
-    ``links_computed`` count the (row, layer) pairs and the eligible links
-    whose need has been computed.
+    is not, and exact pathloss decides the shell between them. Both radii
+    come from the layer's table of pathloss at evenly spaced distances,
+    which also gives the margin stage its lower bounds. Bandwidth need is
+    computed on demand, a grid row at a time (:meth:`bw_rows`), and kept
+    for later calls; ``rows_computed`` and ``links_computed`` count the
+    (row, layer) pairs and the eligible links whose need has been computed.
 
     ``axes`` replaces the grid's x, y and h ticks (:func:`_grid_axes`); one
     tick per axis scores a fixed position (:func:`evaluate_position`).
@@ -273,12 +240,38 @@ class PlacementSearch:
         self._gx = np.repeat(self.xs, len(self.ys))
         self._gy = np.tile(self.ys, len(self.xs))
         n_xy = len(self._gx)
+        # Per layer, pathloss at evenly spaced horizontal distances from 0 to
+        # `reach`, an upper bound on every link's distance. Pathloss rises
+        # strictly with horizontal distance (free-space loss grows, and the
+        # LoS-weighted excess can only grow since eta_nlos_db >= eta_los_db),
+        # and its float evaluation is off by about 1e-13 dB. So a link nearer
+        # than a step whose pathloss evaluates within pl_max_db -
+        # _RADIUS_MARGIN_DB evaluates at least _RADIUS_MARGIN_DB - 2e-13 dB
+        # under the threshold, and one farther than a step evaluating over
+        # pl_max_db + _RADIUS_MARGIN_DB as much over it. The inner radius is
+        # the last step of the first kind and the outer radius the first of
+        # the second: `pathloss_db(dist) <= pl_max_db` accepts every link
+        # inside the one and none beyond the other, and it decides the shell
+        # between them. Where even `reach` stays within the inner level, the
+        # inner radius is inf; where even distance 0 is over it, there is no
+        # inner disc (its square is -1). Where `reach` stays within the outer
+        # level, the outer radius is inf. The step count sets only the
+        # shell's width, never which links are eligible. The margin stage
+        # reads the same table's 1/zeta, a little lowered (see _contenders).
         reach = np.hypot(
             np.ptp(np.append(self.xs, self._ux)), np.ptp(np.append(self.ys, self._uy))
         )
-        r_lo, r_hi = _coverage_radii(self.hs, reach, sys, env)
-        inner2 = np.where(r_lo >= 0, r_lo * r_lo, -1.0) * (1.0 - _SQUARED_SLACK)
-        outer2 = r_hi * r_hi * (1.0 + _SQUARED_SLACK)
+        steps = reach * np.linspace(0.0, 1.0, _TABLE_STEPS + 1)
+        self._steps2 = steps * steps
+        pl = pathloss_db(steps, self.hs[:, None], env, sys.carrier_hz)  # (n_h, len(steps))
+        self._inv_zeta = _bandwidth_need(pl, 1.0, sys) * (1.0 - _TABLE_SLACK)
+        under = pl <= sys.pl_max_db - _RADIUS_MARGIN_DB
+        over = pl > sys.pl_max_db + _RADIUS_MARGIN_DB
+        last_under = self._steps2[_TABLE_STEPS - np.argmax(under[:, ::-1], axis=1)]
+        inner2 = np.where(under[:, -1], np.inf, np.where(np.any(under, axis=1), last_under, -1.0))
+        inner2 *= 1.0 - _SQUARED_SLACK
+        outer2 = np.where(np.any(over, axis=1), self._steps2[np.argmax(over, axis=1)], np.inf)
+        outer2 *= 1.0 + _SQUARED_SLACK
         # one array per altitude layer: a single array for all layers raised
         # the resident peak of repeated searches by about 15%, most likely
         # because freeing one chunk that large lets the allocator keep more
@@ -308,13 +301,6 @@ class PlacementSearch:
         self._filled = [0 for _ in self.hs]
         self.rows_computed = 0
         self.links_computed = 0
-        # per layer, 1/zeta a little lowered at evenly spaced horizontal
-        # distances out to the outer radius; the margin stage orders its
-        # candidates by it before reading any link budget (see _contenders)
-        span = np.minimum(r_hi, reach)[:, None] * np.linspace(0.0, 1.0, _TABLE_STEPS + 1)
-        self._steps2 = span * span
-        pl = pathloss_db(span, self.hs[:, None], env, sys.carrier_hz)
-        self._inv_zeta = _bandwidth_need(pl, 1.0, sys) * (1.0 - _TABLE_SLACK)
 
     def bw_rows(self, lay: int, rows) -> np.ndarray:
         """Bandwidth need of grid rows ``rows`` on layer ``lay``, (len(rows), n) MHz.
@@ -399,10 +385,10 @@ class PlacementSearch:
         cannot beat the incumbent. Each block of candidates is screened at
         once, the bandwidth-free test first: a candidate whose backhaul-side
         fractional fill, rounded down to the weight grid, cannot beat the
-        incumbent is dropped before its link budgets are read. Of the rest,
-        a candidate whose users all fit is settled outright; any other goes
-        to ``solve_bnb`` only if the smaller of its backhaul- and
-        bandwidth-side fills, so rounded, beats the incumbent. Which optimal
+        incumbent is dropped before its link budgets are read. Any other
+        goes to ``solve_bnb`` only if the smaller of its backhaul- and
+        bandwidth-side fills, so rounded, beats the incumbent (a pool whose
+        users all fit is settled there with no node explored). Which optimal
         candidate comes back does not matter, since the margin stage reads
         only its objective. The scan runs on the calling thread.
         """
@@ -439,9 +425,6 @@ class PlacementSearch:
             for lay in range(n_h):
                 at = lays == lay
                 bw[at] = self.bw_rows(lay, rows[at])
-            all_fit = (el @ self.rates <= R + _SEARCH_EPS) & (
-                np.sum(np.where(el, bw, 0.0), axis=1) <= B + _SEARCH_EPS
-            )
             lp = np.minimum(lp, _bandwidth_fill(el, w, bw, B))
             ub = np.minimum(_grid_floor(lp + _LP_ROOM, q), bound[blk])
             for i in np.flatnonzero(ub > skip_at):
@@ -449,12 +432,9 @@ class PlacementSearch:
                     continue
                 mask = el[i]
                 inst = SelectionInstance(w[mask], self.rates[mask], bw[i][mask], R, B)
-                if all_fit[i]:
-                    res = _select_all(inst)
-                else:
-                    res = solve_bnb(inst, prune_below=prune_below)
-                    if res is None:
-                        continue
+                res = solve_bnb(inst, prune_below=prune_below)
+                if res is None:
+                    continue
                 # subsets at different candidates can sum to the "same"
                 # objective with ~1e-13 float noise: require a genuine gain
                 if best is None or res.objective > best[2].objective + TIE_EPS:
@@ -535,8 +515,9 @@ class PlacementSearch:
         read lazily, best first, by a distance bound (the A* scheme of Hart,
         Nilsson and Raphael, 1968). Pathloss, and with it 1/zeta, rises
         strictly with horizontal distance, and a key ``bw / rates`` is 1/zeta
-        up to a few ulp. The layer's table (built with the search) holds
-        1/zeta lowered by ``_TABLE_SLACK`` at a few distance steps, so:
+        up to a few ulp. The layer's pathloss table (built with the search)
+        gives 1/zeta, lowered by ``_TABLE_SLACK``, at evenly spaced distance
+        steps from 0 out to the farthest any link reaches, so:
 
         - a user whose key is at or under ``cut`` lies nearer than the
           first step whose table value exceeds ``cut``. So the candidates
@@ -615,7 +596,7 @@ class PlacementSearch:
         they first carry ``floor - TIE_EPS`` (see :meth:`_contenders`).
         Reads no link budget.
         """
-        steps2, inv_zeta = self._steps2[lay], self._inv_zeta[lay]
+        steps2, inv_zeta = self._steps2, self._inv_zeta[lay]
         over = np.flatnonzero(inv_zeta > cut)
         r2 = steps2[over[0]] * (1.0 + _SQUARED_SLACK) if len(over) else np.inf
         carry = floor - TIE_EPS
@@ -719,29 +700,22 @@ def _bandwidth_fill(taken: np.ndarray, w: np.ndarray, b: np.ndarray, B: float) -
     return value + np.where(part, w[order[at, j]] * room / cost[at, j], 0.0)
 
 
-def _grid_floor(x, q: float | None):
-    """Round bounds down to the weight grid ``q`` (None: weights on no grid)."""
-    return x if q is None else q * np.floor(x / q + 1e-9)
-
-
 def _reach(w, r, b, R: float, B: float, target: float):
     """Whether some selection of these users is worth ``target`` (within TIE_EPS).
 
     Returns (reached, selection): the selection is the lexicographically
     first optimal one when the proof produced it, else None. Cheap proofs
-    go first: the weight sum, all users fitting, the fractional bound and
-    the greedy value; the exact solve runs only when none of them settles it.
+    go first: the weight sum, the fractional bound and the greedy value;
+    the exact solve runs only when none of them settles it, and settles a
+    pool whose users all fit at once.
     """
     if np.sum(w) < target - TIE_EPS:
         return False, None
-    inst = SelectionInstance(w, r, b, R, B)
-    if np.sum(r) <= R + _SEARCH_EPS and np.sum(b) <= B + _SEARCH_EPS:
-        return True, _select_all(inst)
     if min(_fractional_fill(w, r, R), _fractional_fill(w, b, B)) < target - _LP_ROOM:
         return False, None
     if _greedy_value(w, r, b, R, B) >= target - TIE_EPS:
         return True, None
-    res = solve_bnb(inst, prune_below=target - 2 * TIE_EPS)
+    res = solve_bnb(SelectionInstance(w, r, b, R, B), prune_below=target - 2 * TIE_EPS)
     if res is None or res.objective < target - TIE_EPS:
         return False, None
     return True, res
@@ -788,18 +762,6 @@ def _margin_cut(w, r, b, R: float, B: float, target: float, limit: float, inclus
             else:
                 lo = mid + 1
     return float(cuts[lo]), key <= cuts[lo], found[lo]
-
-
-def _select_all(inst: SelectionInstance) -> SelectionResult:
-    """Every user fits: selecting all of them is the unique optimum."""
-    mask = np.ones(inst.n, dtype=bool)
-    return SelectionResult(
-        selected=tuple(bool(v) for v in mask),
-        objective=float(np.sum(inst.weights)),
-        rate_used_mbps=float(np.sum(inst.rates_mbps)),
-        bandwidth_used_mhz=float(np.sum(inst.bandwidths_mhz)),
-        nodes_explored=0,
-    )
 
 
 def evaluate_position(users, placement: Placement, sys: SystemParams, env) -> SelectionResult:

@@ -209,6 +209,11 @@ def _value_grid(weights) -> float | None:
     return None
 
 
+def _grid_floor(x, q: float | None):
+    """Round bounds down to the weight grid ``q`` (None: weights on no grid)."""
+    return x if q is None else q * np.floor(x / q + 1e-9)
+
+
 class _ReachableSums:
     """Exact subset-sum reachability of grid-valued rates, per suffix.
 
@@ -310,6 +315,14 @@ class _SuffixBounds:
         return total
 
 
+def _surrogate_mus(R, B) -> list[float]:
+    """Multipliers mu of the mixed surrogate cost ``r + mu*b``: ``(R/B) * 4**k``
+    for k in -4..4, or none unless both caps are positive and finite."""
+    if R <= 0 or B <= 0 or not math.isfinite(R) or not math.isfinite(B):
+        return []
+    return [(R / B) * 4.0**k for k in range(-4, 5)]
+
+
 def _pick_surrogate_mu(w, r, b, R, B) -> float | None:
     """Multiplier for a weighted-sum surrogate constraint, or None.
 
@@ -321,12 +334,12 @@ def _pick_surrogate_mu(w, r, b, R, B) -> float | None:
     both — which happens exactly in the regime where both budgets bind and
     the pure bounds go slack.
     """
-    if R <= 0 or B <= 0 or not math.isfinite(R) or not math.isfinite(B):
+    mus = _surrogate_mus(R, B)
+    if not mus:
         return None
     base = min(_fractional_fill(w, r, R), _fractional_fill(w, b, B))
     best_mu, best_val = None, base - 1e-9
-    for k in range(-4, 5):
-        mu = (R / B) * 4.0**k
+    for mu in mus:
         val = _fractional_fill(w, r + mu * b, R + mu * B)
         if val < best_val:
             best_mu, best_val = mu, val
@@ -368,9 +381,7 @@ class _FlipBounds:
     """
 
     def __init__(self, w, r, b, R, B):
-        rays = [(r, R), (b, B)]
-        if R > 0 and B > 0 and math.isfinite(R) and math.isfinite(B):
-            rays += [(r + (R / B) * 4.0**k * b, R + (R / B) * 4.0**k * B) for k in range(-4, 5)]
+        rays = [(r, R), (b, B)] + [(r + mu * b, R + mu * B) for mu in _surrogate_mus(R, B)]
         best = None
         for cost, cap in rays:
             g_val, t = _dual_point(w, cost, cap)
@@ -384,10 +395,7 @@ class _FlipBounds:
 
     def fix(self, threshold: float, q: float | None):
         """(fixed_in, free) masks valid for selections with value > threshold."""
-        out_b, in_b = self.drop_out, self.drop_in
-        if q:
-            out_b = q * np.floor(out_b / q + 1e-9)
-            in_b = q * np.floor(in_b / q + 1e-9)
+        out_b, in_b = _grid_floor(self.drop_out, q), _grid_floor(self.drop_in, q)
         fixed_in = out_b <= threshold + TIE_EPS
         fixed_out = (in_b <= threshold + TIE_EPS) & ~fixed_in
         return fixed_in, ~(fixed_in | fixed_out)
@@ -430,12 +438,16 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
     are of no interest to the caller, and the solve may return None instead
     of a result when nothing clears the floor. The default floor is below
     the greedy value, which is always attainable, so a result is guaranteed.
+
+    When every user fits within both caps (up to ``_SEARCH_EPS``), selecting
+    all of them is the unique optimum: it is returned at once, with 0 nodes
+    explored, whatever ``prune_below`` says.
     """
     n = inst.n
-    if n == 0:
-        return _finalize(inst, np.zeros(0, dtype=bool), nodes=0)
     R = float(inst.backhaul_cap_mbps)
     B = float(inst.bandwidth_cap_mhz)
+    if np.sum(inst.rates_mbps) <= R + _SEARCH_EPS and np.sum(inst.bandwidths_mhz) <= B + _SEARCH_EPS:
+        return _finalize(inst, np.ones(n, dtype=bool), nodes=0)
     fits = (inst.rates_mbps <= R + _SEARCH_EPS) & (inst.bandwidths_mhz <= B + _SEARCH_EPS)
     idx = np.flatnonzero(fits)  # ascending, so lex order is preserved
     full_mask = np.zeros(n, dtype=bool)
@@ -446,7 +458,6 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
     b0 = inst.bandwidths_mhz[idx]
 
     q = _value_grid(w0)
-    grid_floor = (lambda x: q * math.floor(x / q + 1e-9)) if q else (lambda x: x)
     g = _greedy_value(w0, r0, b0, R, B)
     threshold = max(g - (q if q else 1e-6 * max(1.0, abs(g))), prune_below)
     flip = _FlipBounds(w0, r0, b0, R, B)
@@ -553,7 +564,7 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
 
     ladder: list[float] = []
     if q:
-        t = grid_floor(flip.root) - q
+        t = float(_grid_floor(flip.root, q)) - q  # a Python float: compared at every node
         while len(ladder) < 3 and t > threshold + TIE_EPS:
             ladder.append(t)
             t -= q

@@ -217,14 +217,13 @@ def test_user_just_inside_the_threshold_is_served():
 # ---------------------------------------------------------------------
 
 
-def all_links_geometry(users, sys, env):
+def all_links_geometry(users, sys, env, grid):
     """Eligibility and bandwidth need of every (grid row, user) link per layer.
 
     The reference formula: pathloss of every link on every layer, from the
     same ``np.hypot`` distances, with no coverage radius. Arrays are
     (n_xy, n), rows in grid order (x-major, then y).
     """
-    grid = candidate_grid(sys)
     hs = sorted({p.h_m for p in grid})
     rows = [p for p in grid if p.h_m == hs[0]]
     gx = np.array([p.x_m for p in rows])
@@ -294,13 +293,41 @@ SUBURBAN = EnvironmentParams(a=4.88, b=0.43, eta_los_db=0.1, eta_nlos_db=21.0)
             SUBURBAN,
             (1000.0, 1900.0),
         ),
+        # one user 60 km out: the table's steps are about 60 m apart, far
+        # coarser than the shell between the radii
+        ("far_user", dict(grid_step_m=500.0), URBAN, (2000.0, 2000.0)),
+        # a one-point grid whose only user sits under it: the table spans 0 m
+        ("reach_zero", dict(), URBAN, (2000.0, 2000.0)),
+        # a one-point grid with users under it and 1.5 km east, where the
+        # pathloss is 0.005 dB under the threshold: the farthest step lies
+        # inside the shell, so the outer radius is unbounded
+        (
+            "reach_in_shell",
+            dict(pl_max_db=float(pathloss_db(1500.0, 400.0, URBAN, 2e9)) + 0.005),
+            URBAN,
+            (2000.0, 2000.0),
+        ),
     ],
 )
 def test_radius_limited_geometry_matches_all_links(case, overrides, env, centre):
     sys = default_system(**overrides)
-    users = edge_users(sys, env, centre, np.random.default_rng(41), n_random=40)
-    search = PlacementSearch(users, sys, env)
-    reference = all_links_geometry(users, sys, env)
+    axes = None
+    if case in ("reach_zero", "reach_in_shell"):
+        east = (0.0, 1500.0) if case == "reach_in_shell" else (0.0,)
+        users = [
+            User(id=i, x_m=centre[0] + d, y_m=centre[1], rate_mbps=1.0) for i, d in enumerate(east)
+        ]
+        axes = ([centre[0]], [centre[1]], [sys.h_max_m])
+    else:
+        users = edge_users(sys, env, centre, np.random.default_rng(41), n_random=40)
+    if case == "far_user":
+        users.append(User(id=len(users), x_m=60_000.0, y_m=centre[1], rate_mbps=1.0))
+    search = PlacementSearch(users, sys, env, axes=axes)
+    if axes is None:
+        grid = candidate_grid(sys)
+    else:
+        grid = [Placement(x, y, h) for x in axes[0] for y in axes[1] for h in axes[2]]
+    reference = all_links_geometry(users, sys, env, grid)
     assert len(search.eligible) == len(reference)
     rng = np.random.default_rng(7)
     for lay, (el, bw) in enumerate(reference):
@@ -319,16 +346,21 @@ def test_radius_limited_geometry_matches_all_links(case, overrides, env, centre)
     assert search.rows_computed == len(reference) * len(reference[0][0])
     assert search.links_computed == sum(int(np.sum(el)) for el, _ in reference)
 
-    grid = candidate_grid(sys)
     hs = sorted({p.h_m for p in grid})
     row = [(p.x_m, p.y_m) for p in grid if p.h_m == hs[0]].index(centre)
     served = np.array([el[row] for el, _ in reference])  # (layer, user)
+    if case == "far_user":
+        assert np.sqrt(search._steps2[1]) > 50.0 and not np.any(served[:, -1])
     if case == "radius_inf":
         assert all(np.all(el) for el, _ in reference)
     elif case == "nothing_in_reach":
         assert not any(np.any(el) for el, _ in reference)
     elif case == "lowest_layer_only":
         assert served[0, 0] and not np.any(served[1:])
+    elif case == "reach_zero":
+        assert np.all(search._steps2 == 0.0) and served[0, 0]
+    elif case == "reach_in_shell":
+        assert np.all(served)
     else:
         # the user on the grid point is served on every layer; users just
         # inside a layer's radius are served there, users just outside not;
@@ -547,26 +579,30 @@ def test_distance_bounds_are_admissible(seed):
 
 
 def test_distance_bounds_hold_at_the_table_steps():
-    """Users at some of each layer's table distances and 1e-6 m either side,
-    along an axis and a diagonal, five rates at each spot: where the j-th
-    nearest user first carries the weight, the lower bound is at most the
-    j-th smallest key, and a cut at that key keeps the candidate. At a table
-    distance itself the key can sit an ulp under the table's unlowered
-    value, which the table's slack must absorb."""
+    """Users at some of each layer's table distances inside its outer radius
+    and 1e-6 m either side, along an axis and a diagonal, five rates at each
+    spot: where the j-th nearest user first carries the weight, the lower
+    bound is at most the j-th smallest key, and a cut at that key keeps the
+    candidate. At a table distance itself the key can sit an ulp under the
+    table's unlowered value, which the table's slack must absorb."""
     sys = default_system()
     hs = sorted({p.h_m for p in candidate_grid(sys)})
     axes = ([0.0], [0.0], hs)
     # two users beyond every outer radius, at opposite corners of all the
-    # others, fix the span the radii are bisected over, and so the table
+    # others, fix the span of the table
     corners = [
         User(id=0, x_m=-4000.0, y_m=-4000.0, rate_mbps=1.0),
         User(id=1, x_m=4000.0, y_m=4000.0, rate_mbps=1.0),
     ]
     probe = PlacementSearch(corners, sys, URBAN, axes=axes)
+    steps = np.sqrt(probe._steps2)
     users = list(corners)
-    for lay in range(len(hs)):
-        steps = np.sqrt(probe._steps2[lay])
-        for k in sorted({*range(0, len(steps), 32), 1, 2, len(steps) - 2, len(steps) - 1}):
+    for h in hs:
+        # the layer's outer radius is the first step over the shell's outer
+        # level; nobody beyond it can be eligible
+        pl = pathloss_db(steps, h, URBAN, sys.carrier_hz)
+        inside = int(np.argmax(pl > sys.pl_max_db + _RADIUS_MARGIN_DB))
+        for k in sorted({*range(0, inside, 16), 1, 2, inside - 2, inside - 1}):
             for d in steps[k] + np.array([-1e-6, 0.0, 1e-6]):
                 for x, y in ((d, 0.0), (d / np.sqrt(2.0), d / np.sqrt(2.0))):
                     users += [
@@ -577,8 +613,8 @@ def test_distance_bounds_hold_at_the_table_steps():
     w = np.ones(len(users))
     row = np.array([0])
     checked = 0
+    assert np.array_equal(search._steps2, probe._steps2)
     for lay in range(len(hs)):
-        assert np.array_equal(search._steps2[lay], probe._steps2[lay])
         key = search.bw_rows(lay, row)[0] / search.rates
         ranked = np.sort(key[search.eligible[lay][0]])
         for j, bound in enumerate(ranked, start=1):

@@ -80,6 +80,32 @@ def test_singleton_within_caps_is_selected():
     assert res.selected == (True,)
 
 
+def test_all_fit_instances_select_everyone_at_the_root():
+    """When every user fits within both caps, all are selected with no node
+    explored, whatever the floor: weights on the unit grid, equal to the
+    rates, or messy; caps slack or exactly at the sums; and one weight far
+    off every grid."""
+    rng = np.random.default_rng(29)
+    problems = [inst([1, 1e-7], [0.5, 0.5], [0.1, 0.1], 10.0, 10.0)]
+    for trial in range(60):
+        n = int(rng.integers(1, 21))
+        rates = rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], size=n)
+        bws = rates / (6.4 + 6.6 * rng.random(n))
+        weights = (np.ones(n), rates, rng.uniform(0.05, 3.0, n))[trial % 3]
+        R, B = float(np.sum(rates)), float(np.sum(bws))
+        if trial % 2:
+            R, B = R * rng.uniform(1.0, 2.0), B * rng.uniform(1.0, 2.0)
+        problems.append(inst(weights, rates, bws, R, B))
+    for problem in problems:
+        everyone = (True,) * problem.n
+        total = float(np.sum(problem.weights))
+        for floor in (-np.inf, total):
+            res = solve_bnb(problem, prune_below=floor)
+            assert res.selected == everyone and res.nodes_explored == 0
+            assert res.objective == total
+        assert solve_brute_force(problem).selected == everyone
+
+
 def test_brute_force_refuses_large_instances():
     n = 26
     with pytest.raises(ValueError, match="25"):
