@@ -252,6 +252,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
         raise ConfigError("threads must be >= 1")
     if any(v <= 0 for v in resolved["rate_set_mbps"]):
         raise ConfigError("rate_set_mbps values must be positive")
+    if any(v < 0 for v in resolved["seeds"]):
+        raise ConfigError("seeds values must be non-negative")
     if any(v < 0 for v in resolved["backhaul_values_mbps"]):
         raise ConfigError("backhaul_values_mbps values must be non-negative")
     if any(v < 0 for v in resolved["displacement_values_m"]):

@@ -145,10 +145,10 @@ def backhaul_sweep(
     """Optimal placement per seed at every backhaul capacity value.
 
     The per-scenario geometry is built once per seed and shared across R
-    values, and so are the link budgets each R value computes on demand;
-    ascending R values warm-start each other's pruning (objective
-    is monotone in R, so the previous optimum is always attainable).
-    ``threads`` is accepted for compatibility and starts no threads.
+    values, and so are the link budgets each R value computes on demand.
+    Nothing else passes from one R value to the next: each point is what
+    ``place`` gives at that R. ``threads`` is accepted for compatibility
+    and starts no threads.
     """
     n_x = len(spec.backhaul_values_mbps)
     metrics = {
@@ -160,10 +160,8 @@ def backhaul_sweep(
         users, n_resamples = population(sys, cluster, rate_set_mbps, seed, spec.mode)
         resamples.append(n_resamples)
         search = PlacementSearch(users, sys, env)
-        warm = None
-        for xi in range(n_x):  # values are strictly increasing, so warm is valid
-            res = search.place(spec.backhaul_values_mbps[xi], warm_value=warm)
-            warm = res.objective
+        for xi in range(n_x):
+            res = search.place(spec.backhaul_values_mbps[xi])
             metrics["served_count"][si, xi] = res.served_count
             metrics["objective"][si, xi] = res.objective
             metrics["rate_used_mbps"][si, xi] = res.rate_used_mbps

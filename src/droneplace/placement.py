@@ -337,46 +337,36 @@ class PlacementSearch:
         ix, iy = divmod(row, n_y)
         return Placement(float(self.xs[ix]), float(self.ys[iy]), float(self.hs[lay]))
 
-    def place(
-        self,
-        backhaul_mbps: float | None = None,
-        warm_value: float | None = None,
-        weights=None,
-    ) -> PlacementResult:
+    def place(self, backhaul_mbps: float | None = None, weights=None) -> PlacementResult:
         """Best placement: :meth:`solve`, then :meth:`result`.
 
         ``backhaul_mbps`` defaults to the scenario's, and ``weights`` to the
-        users' own; ``warm_value`` is as in :meth:`solve`. Other weights
-        reuse the search's geometry and link budgets, as when both
-        weighting modes place the same population.
+        users' own. Other weights reuse the search's geometry and link
+        budgets, as when both weighting modes place the same population.
         """
         R = self.sys.backhaul_mbps if backhaul_mbps is None else float(backhaul_mbps)
         if weights is None:
             weights = [u.weight for u in self.users]
-        return self.result(self.solve(weights, R, warm_value=warm_value), weights, R)
+        return self.result(self.solve(weights, R), weights, R)
 
-    def solve(self, weights, backhaul_mbps: float, warm_value: float | None = None):
+    def solve(self, weights, backhaul_mbps: float):
         """Best placement; returns (candidate_index, served_pool_mask, selection).
 
         The grid scan finds the maximum objective; the margin stage then
-        picks, among every placement and served set attaining it, the one
-        with the widest worst-case pathloss margin (see
-        :meth:`_widest_margin`). ``selection`` runs over the users that
+        picks, from that number alone, among every placement and served set
+        attaining it, the one with the widest worst-case pathloss margin
+        (see :meth:`_widest_margin`). ``selection`` runs over the users that
         ``served_pool_mask`` marks.
-
-        ``warm_value`` may carry any objective known to be attainable (e.g.
-        from the previous point of a backhaul sweep); it only tightens
-        pruning and cannot change the result.
         """
         w = np.asarray(weights, dtype=float)
         R = float(backhaul_mbps)
         sum_w = np.stack([el @ w for el in self.eligible], axis=1)
         by_ratio = _ratio_order(w, self.rates)
-        best = self._scan(w, R, sum_w, by_ratio, warm_value)
-        return self._widest_margin(best, w, R, sum_w, by_ratio)
+        target = self._scan(w, R, sum_w, by_ratio)
+        return self._widest_margin(target, w, R, sum_w, by_ratio)
 
-    def _scan(self, w, R: float, sum_w, by_ratio, warm_value: float | None):
-        """Some candidate attaining the maximum objective, best-first.
+    def _scan(self, w, R: float, sum_w, by_ratio) -> float:
+        """The maximum objective over all candidates, found best-first.
 
         ``sum_w`` holds each candidate's eligible weight, (n_xy, n_h), and
         ``by_ratio`` the users by descending weight per rate
@@ -388,9 +378,10 @@ class PlacementSearch:
         incumbent is dropped before its link budgets are read. Any other
         goes to ``solve_bnb`` only if the smaller of its backhaul- and
         bandwidth-side fills, so rounded, beats the incumbent (a pool whose
-        users all fit is settled there with no node explored). Which optimal
-        candidate comes back does not matter, since the margin stage reads
-        only its objective. The scan runs on the calling thread.
+        users all fit is settled there with no node explored). The first
+        candidate is always solved, so the value returned is attained. No
+        candidate comes back: the margin stage finds its own. The scan runs
+        on the calling thread.
         """
         B = self.sys.bandwidth_mhz
         n_h = len(self.hs)
@@ -399,13 +390,9 @@ class PlacementSearch:
         order = np.argsort(-bound, kind="stable")
         w_g, r_g = w[by_ratio], self.rates[by_ratio]
 
-        # The warm value is attained somewhere, perhaps only by the maximum
-        # itself, so it skips just the bounds strictly below it. An incumbent
-        # also skips the bounds that merely tie it: any optimal candidate
-        # will do.
-        warm = -math.inf if warm_value is None else float(warm_value)
-        skip_at, prune_below = warm - 0.5 * TIE_EPS, warm - 2.0 * TIE_EPS
-        best = None
+        # the incumbent also skips the bounds that merely tie it: any optimal
+        # candidate will do
+        best = skip_at = prune_below = -math.inf
         for lo in range(0, len(order), _CHUNK):
             blk = order[lo:lo + _CHUNK]
             blk = blk[bound[blk] > skip_at]
@@ -437,43 +424,34 @@ class PlacementSearch:
                     continue
                 # subsets at different candidates can sum to the "same"
                 # objective with ~1e-13 float noise: require a genuine gain
-                if best is None or res.objective > best[2].objective + TIE_EPS:
-                    best = (int(blk[i]), mask, res)
-                    skip_at, prune_below = res.objective + 0.5 * TIE_EPS, res.objective
-        if best is None:
-            # only reachable when warm_value overstates what is attainable
-            raise ValueError("warm_value exceeded every candidate's objective")
+                if res.objective > best + TIE_EPS:
+                    best = res.objective
+                    skip_at, prune_below = best + 0.5 * TIE_EPS, best
         return best
 
-    def _widest_margin(self, best, w: np.ndarray, R: float, sum_w: np.ndarray, by_ratio):
-        """Among all placements attaining the scan's objective, the widest margin.
+    def _widest_margin(self, target: float, w: np.ndarray, R: float, sum_w: np.ndarray, by_ratio):
+        """Among all placements attaining ``target``, the scan's maximum, the widest margin.
 
         A served set's margin is ``pl_max_db`` minus its worst served
         pathloss. At one candidate the widest margin comes from the tightest
-        pathloss cut whose users still reach the objective (:func:`_margin_cut`).
-        The best cut starts out as the scan winner's loosest one, all its
-        users. Layers go highest first, since high placements usually win
-        and an early tight cut screens out most of the rest. Within a layer,
-        candidates go in order of a lower bound on their own cut, until the
-        bound passes the best cut found. An exact tie on the cut goes to the
-        earlier candidate in grid order. The result does not depend on which
-        optimal candidate the scan returned. With no user served there is no
-        margin to widen, and the first candidate in grid order stands.
+        pathloss cut whose users still reach the target (:func:`_margin_cut`).
+        The best cut starts open, at ``inf``. Layers go highest first, since
+        high placements usually win and an early tight cut screens out most
+        of the rest. Within a layer, candidates go in order of a lower bound
+        on their own cut, until the bound passes the best cut found. An exact
+        tie on the cut goes to the earlier candidate in grid order. Only the
+        target comes from the scan, so which optimal candidate the scan met
+        first cannot matter. With no user served (a target of 0, since
+        weights are positive) there is no margin to widen, and the first
+        candidate in grid order stands.
         """
-        winner, _, res = best
         B = self.sys.bandwidth_mhz
-        if res.served_count == 0:
+        if target == 0.0:
             pool = self.eligible[0][0]
             inst = SelectionInstance(w[pool], self.rates[pool], self.bw_rows(0, [0])[0][pool], R, B)
             return 0, pool, solve_bnb(inst)
-        target = res.objective
         n_h = len(self.hs)
-        row, lay = divmod(winner, n_h)
-        el = self.eligible[lay][row]
-        # attained by the winner, but not yet known to be its tightest cut:
-        # until some candidate settles a cut, ties with it stay open
-        cut = float(np.max(self.bw_rows(lay, [row])[0][el] / self.rates[el]))
-        c = None
+        cut, c = math.inf, None
         for lay in reversed(range(n_h)):
             for lb, cand in self._contenders(lay, w, R, target, cut, sum_w, by_ratio):
                 if lb > cut or (lb == cut and c is not None and cand > c):

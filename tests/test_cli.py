@@ -221,6 +221,9 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
     assert not out.exists()
     assert run_cli("place", "--config", str(tmp_path / "missing.json"),
                    "--output-dir", str(out)) == 2
+    assert run_cli("place", "--seed", "-1", "--output-dir", str(out)) == 2
+    assert "config error: seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_errors_exit_3_and_leave_no_partial_files(tmp_path, capsys):

@@ -80,6 +80,9 @@ def test_domain_invariants_become_config_errors():
         load_config(overrides=["threads=0"])
     with pytest.raises(ConfigError, match="mode"):
         load_config(overrides=["mode=greedy"])
+    # numpy's seeding would reject it later, without naming the key
+    with pytest.raises(ConfigError, match="seeds"):
+        load_config(overrides=["seeds=[0, 3, -2]"])
     with pytest.raises(ConfigError, match="strictly increasing"):
         load_config(overrides=["backhaul_values_mbps=[10, 10]"])
     with pytest.raises(ConfigError, match="strictly increasing"):

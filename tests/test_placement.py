@@ -461,8 +461,8 @@ def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
 
 def margin_stage_inputs(search, w, R):
     """What the margin stage hands ``_contenders``: the scan's objective, the
-    weight sums, the ratio order, and two cuts, the scan winner's loosest
-    and the margin stage's final one."""
+    weight sums, the ratio order, and three cuts: ``inf``, where the stage
+    starts, the final candidate's loosest cut, and the final cut."""
     n_h = len(search.hs)
     sum_w = np.stack([el @ w for el in search.eligible], axis=1)
     by_ratio = _ratio_order(w, search.rates)
@@ -471,9 +471,10 @@ def margin_stage_inputs(search, w, R):
         row, lay = divmod(c, n_h)
         return float(np.max(search.bw_rows(lay, [row])[0][pool] / search.rates[pool]))
 
-    winner, mask, res = search._scan(w, R, sum_w, by_ratio, None)
-    c, pool, _ = search._widest_margin((winner, mask, res), w, R, sum_w, by_ratio)
-    return res.objective, sum_w, by_ratio, (loosest(winner, mask), loosest(c, pool))
+    target = search._scan(w, R, sum_w, by_ratio)
+    c, pool, _ = search._widest_margin(target, w, R, sum_w, by_ratio)
+    row, lay = divmod(c, n_h)
+    return target, sum_w, by_ratio, (np.inf, loosest(c, search.eligible[lay][row]), loosest(c, pool))
 
 
 @pytest.mark.parametrize("seed", [0, 4, 14, 25, 28])
@@ -781,39 +782,45 @@ def test_exact_margin_ties_go_to_the_first_candidate():
     assert (res.placement, res.objective, res.selected) == (placement, objective, served)
 
 
-def test_margin_stage_does_not_depend_on_the_scan_winner():
-    """The scan may return any candidate attaining the maximum; the margin
-    stage must make the same choice from each of them."""
-    sys = default_system(
-        bounds=AreaBounds(0.0, 1200.0, 0.0, 1200.0),
-        grid_step_m=300.0,
-        h_max_m=400.0,
-        backhaul_mbps=6.0,
-    )
+def test_scan_finds_the_best_objective_over_every_candidate():
+    """The scan prunes, but the number it hands the margin stage is the
+    maximum of the exact optimum over every candidate.
+
+    Two 30-user populations on a 50-candidate grid, in both modes: users
+    scattered, and two clusters out of each other's reach, where the
+    candidates with the most eligible weight (20 users needing 2 Mbps) lose
+    to those serving the other 10 (0.5 Mbps each), so the scan must go past
+    its first solve."""
+    grid = dict(bounds=AreaBounds(0.0, 1200.0, 0.0, 1200.0), grid_step_m=300.0, h_max_m=400.0)
+    jitter = np.random.default_rng(7).uniform(-60.0, 60.0, (30, 2))
+    clusters = [
+        User(id=i, x_m=float(c + jitter[i, 0]), y_m=float(c + jitter[i, 1]), rate_mbps=rate)
+        for i, (c, rate) in enumerate([(150.0, 2.0)] * 20 + [(1050.0, 0.5)] * 10)
+    ]
     rng = np.random.default_rng(31)
     for weighted in (False, True):
-        users = scattered_users(rng, 30, span=1200.0, weighted=weighted)
-        w = np.array([u.weight for u in users])
-        R, B = sys.backhaul_mbps, sys.bandwidth_mhz
-        search = PlacementSearch(users, sys, URBAN)
-        sum_w = np.stack([el @ w for el in search.eligible], axis=1)
-        n_h = len(search.hs)
-        winners = []
-        for c in range(search.n_candidates):
-            row, lay = divmod(c, n_h)
-            mask = search.eligible[lay][row]
-            res = solve_bnb(
-                SelectionInstance(w[mask], search.rates[mask], search.bw_rows(lay, [row])[0][mask], R, B)
-            )
-            winners.append((c, mask, res))
-        best = max(res.objective for _, _, res in winners)
-        winners = [x for x in winners if x[2].objective >= best - 1e-9]
-        assert len(winners) > 1
-        outcomes = set()
-        for winner in winners:
-            c, pool, res = search._widest_margin(winner, w, R, sum_w, _ratio_order(w, search.rates))
-            outcomes.add((c, tuple(pool), res.selected, res.nodes_explored))
-        assert len(outcomes) == 1
+        mode = "user_centric" if weighted else "network_centric"
+        cases = (
+            (default_system(**grid, backhaul_mbps=6.0), scattered_users(rng, 30, span=1200.0, weighted=weighted)),
+            (default_system(**grid, backhaul_mbps=5.0, pl_max_db=100.0), assign_weights(clusters, mode)),
+        )
+        for sys, users in cases:
+            w = np.array([u.weight for u in users])
+            R, B = sys.backhaul_mbps, sys.bandwidth_mhz
+            search = PlacementSearch(users, sys, URBAN)
+            assert search.n_candidates == 50
+            n_h = len(search.hs)
+            objectives = []
+            for c in range(search.n_candidates):
+                row, lay = divmod(c, n_h)
+                mask = search.eligible[lay][row]
+                res = solve_bnb(
+                    SelectionInstance(w[mask], search.rates[mask], search.bw_rows(lay, [row])[0][mask], R, B)
+                )
+                objectives.append(res.objective)
+            sum_w = np.stack([el @ w for el in search.eligible], axis=1)
+            target = search._scan(w, R, sum_w, _ratio_order(w, search.rates))
+            assert abs(target - max(objectives)) <= TIE_EPS
 
 
 def test_nothing_served_keeps_the_first_candidate():
@@ -948,24 +955,6 @@ def test_place_with_other_weights_matches_a_search_of_those_users():
         weighted = assign_weights(users, mode)
         got = search.place(weights=[u.weight for u in weighted])
         assert got == PlacementSearch(weighted, sys, URBAN).place()
-
-
-def test_warm_start_value_cannot_change_the_result():
-    sys = small_system(backhaul_mbps=2.0)
-    rng = np.random.default_rng(25)
-    users = scattered_users(rng, 12, weighted=True)
-    weights = [u.weight for u in users]
-    search = PlacementSearch(users, sys, URBAN)
-    cold = search.result(search.solve(weights, 2.0), weights, backhaul_mbps=2.0)
-    # a sweep passes the optimum itself whenever the objective plateaus
-    for warm_value in (cold.objective - 1e-6, cold.objective):
-        warm = search.result(
-            search.solve(weights, 2.0, warm_value=warm_value),
-            weights,
-            backhaul_mbps=2.0,
-        )
-        assert warm.placement == cold.placement
-        assert warm.selected == cold.selected
 
 
 def test_system_params_validation():

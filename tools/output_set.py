@@ -10,6 +10,9 @@ under OUTDIR:
 - ``sweep_threads1/`` and ``sweep_threads2/``: network-centric
   ``sweep-backhaul`` for seeds 0 and 1, one seed per invocation, at
   ``--threads`` 1 and 2;
+- ``sweep_default/``: one network-centric ``sweep-backhaul`` over the
+  default 20 seeds, whose heaviest B&B instances (seeds 4 and 14) the
+  two-seed sweeps never reach;
 - ``robustness_network_centric/`` and ``robustness_user_centric/``:
   ``robustness`` on the default seeds;
 - ``cdf/``: ``cdf`` on the default seeds (it runs both modes).
@@ -41,6 +44,7 @@ def invocations(out: Path):
         for seed in SWEEP_SEEDS:
             yield ["sweep-backhaul", "--mode", "network_centric", "--seed", str(seed),
                    "--threads", str(threads), "--output-dir", str(out / f"sweep_threads{threads}")]
+    yield ["sweep-backhaul", "--mode", "network_centric", "--output-dir", str(out / "sweep_default")]
     for mode in ("network_centric", "user_centric"):
         yield ["robustness", "--mode", mode, "--output-dir", str(out / f"robustness_{mode}")]
     yield ["cdf", "--output-dir", str(out / "cdf")]
