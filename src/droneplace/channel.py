@@ -24,11 +24,6 @@ def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def linear_to_db(x):
-    """Convert linear scale to dB."""
-    return 10.0 * np.log10(x)
-
-
 # =====================================================================
 # Parameter containers
 # =====================================================================

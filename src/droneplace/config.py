@@ -252,6 +252,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
         raise ConfigError("threads must be >= 1")
     if any(v <= 0 for v in resolved["rate_set_mbps"]):
         raise ConfigError("rate_set_mbps values must be positive")
+    if resolved["mean_users_per_cluster"] <= 0:
+        # every draw would be empty, and resampling could never end it
+        raise ConfigError(
+            "mean_users_per_cluster must be positive: with a mean of 0 every population is empty"
+        )
     if any(v < 0 for v in resolved["seeds"]):
         raise ConfigError("seeds values must be non-negative")
     if any(v < 0 for v in resolved["backhaul_values_mbps"]):

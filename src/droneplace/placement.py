@@ -52,9 +52,10 @@ from .selection import (
     TIE_EPS,
     SelectionInstance,
     SelectionResult,
-    _fractional_fill,
+    _fill,
     _greedy_value,
     _grid_floor,
+    _ratio_order,
     _value_grid,
     solve_bnb,
 )
@@ -370,14 +371,17 @@ class PlacementSearch:
 
         ``sum_w`` holds each candidate's eligible weight, (n_xy, n_h), and
         ``by_ratio`` the users by descending weight per rate
-        (:func:`_ratio_order`). Candidates go by that weight, highest first
-        (ties in grid order), and the scan stops at the first whose weight
-        cannot beat the incumbent. Each block of candidates is screened at
-        once, the bandwidth-free test first: a candidate whose backhaul-side
-        fractional fill, rounded down to the weight grid, cannot beat the
-        incumbent is dropped before its link budgets are read. Any other
-        goes to ``solve_bnb`` only if the smaller of its backhaul- and
-        bandwidth-side fills, so rounded, beats the incumbent (a pool whose
+        (:func:`~droneplace.selection._ratio_order`). Candidates go by that
+        weight, highest first (ties in grid order), and the scan stops at
+        the first whose weight cannot beat the incumbent. Each block of
+        candidates is screened at once, the bandwidth-free test first: a
+        candidate whose backhaul-side fractional fill
+        (:func:`~droneplace.selection._fill`, in the order ``by_ratio``),
+        rounded down to the weight grid, cannot beat the incumbent is
+        dropped before its link budgets are read. Any other goes to
+        ``solve_bnb`` only if the smaller of its backhaul- and
+        bandwidth-side fills, so rounded, beats the incumbent (each row
+        sorts its own items for the bandwidth side; a pool whose
         users all fit is settled there with no node explored). The first
         candidate is always solved, so the value returned is attained. No
         candidate comes back: the margin stage finds its own. The scan runs
@@ -403,7 +407,7 @@ class PlacementSearch:
             for lay in range(n_h):
                 at = lays == lay
                 el[at] = self.eligible[lay][rows[at]]
-            lp = _rate_fill(el[:, by_ratio], w_g, r_g, R)
+            lp = _fill(el[:, by_ratio], w_g, r_g, R)[0]
             # only rows the backhaul side leaves open can be solved, so only
             # they get link budgets
             open_ = np.flatnonzero(_grid_floor(lp + _LP_ROOM, q) > skip_at)
@@ -412,7 +416,10 @@ class PlacementSearch:
             for lay in range(n_h):
                 at = lays == lay
                 bw[at] = self.bw_rows(lay, rows[at])
-            lp = np.minimum(lp, _bandwidth_fill(el, w, bw, B))
+            # bandwidth needs differ per row, and so does each row's item order
+            by_bw = _ratio_order(w, bw)
+            taken = np.take_along_axis(el, by_bw, axis=1)
+            lp = np.minimum(lp, _fill(taken, w[by_bw], np.take_along_axis(bw, by_bw, axis=1), B)[0])
             ub = np.minimum(_grid_floor(lp + _LP_ROOM, q), bound[blk])
             for i in np.flatnonzero(ub > skip_at):
                 if ub[i] <= skip_at:
@@ -535,7 +542,7 @@ class PlacementSearch:
         for lo in range(0, len(candidates), _CHUNK):
             blk = candidates[lo:lo + _CHUNK]
             if prescreen:
-                blk = blk[_rate_fill(el[blk][:, by_ratio], w_g, r_g, R) >= target - 2 * _LP_ROOM]
+                blk = blk[_fill(el[blk][:, by_ratio], w_g, r_g, R)[0] >= target - 2 * _LP_ROOM]
             near, lb = self._distance_screen(lay, blk, w, floor, cut)
             rows.append(blk[near])
             lower.append(lb)
@@ -556,7 +563,7 @@ class PlacementSearch:
             at = np.arange(len(blk))
             bound = key[at, order[at, first]]
             inside = el[blk] & (key <= cut)
-            ok = _rate_fill(inside[:, by_ratio], w_g, r_g, R) >= target - _LP_ROOM
+            ok = _fill(inside[:, by_ratio], w_g, r_g, R)[0] >= target - _LP_ROOM
             for item in zip(bound[ok].tolist(), (blk[ok] * n_h + lay).tolist()):
                 heapq.heappush(heap, item)
         while heap:
@@ -631,65 +638,17 @@ class PlacementSearch:
             raise RuntimeError("bandwidth budget exceeded")
 
 
-def _ratio_order(w: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Users by descending weight per rate, ties by index: the item order of
-    every backhaul-side fractional fill (:func:`_rate_fill`)."""
-    return np.lexsort((np.arange(len(w)), -(w / rates)))
-
-
-def _rate_fill(taken: np.ndarray, w: np.ndarray, r: np.ndarray, R: float) -> np.ndarray:
-    """Fractional backhaul-knapsack value of each row's taken items.
-
-    ``w`` and ``r`` are in descending weight-per-rate order; ``taken`` is a
-    (rows, items) mask in that order. Row-wise twin of ``_fractional_fill``.
-    """
-    if not taken.shape[1]:
-        return np.zeros(len(taken))
-    cum = np.cumsum(taken * r, axis=1)
-    whole = taken & (cum <= R + 1e-12)
-    value = whole @ w
-    rest = taken & ~whole
-    at = np.arange(len(taken))
-    j = np.argmax(rest, axis=1)
-    part = rest[at, j]
-    room = np.maximum(R - (cum[at, j] - r[j]), 0.0)
-    return value + np.where(part, w[j] * room / r[j], 0.0)
-
-
-def _bandwidth_fill(taken: np.ndarray, w: np.ndarray, b: np.ndarray, B: float) -> np.ndarray:
-    """Fractional bandwidth-knapsack value of each row's taken items.
-
-    ``b`` holds each row's own bandwidth needs, (rows, items), so each row
-    orders its items by weight per bandwidth, descending, ties by index.
-    Row-wise twin of ``_fractional_fill`` for positive costs.
-    """
-    if not taken.shape[1]:
-        return np.zeros(len(taken))
-    at = np.arange(len(taken))
-    order = np.argsort(np.where(taken, -w / b, 1.0), axis=1, kind="stable")
-    took = taken[at[:, None], order]
-    cost = np.where(took, b[at[:, None], order], np.inf)  # untaken items sort last
-    whole = took & (np.cumsum(cost, axis=1) <= B + 1e-12)
-    value = np.sum(np.where(whole, w[order], 0.0), axis=1)
-    room = np.maximum(B - np.sum(np.where(whole, cost, 0.0), axis=1), 0.0)
-    # the first item not taken whole goes in partly, if it is taken at all
-    j = np.argmax(took & ~whole, axis=1)
-    part = took[at, j] & ~whole[at, j]
-    return value + np.where(part, w[order[at, j]] * room / cost[at, j], 0.0)
-
-
 def _reach(w, r, b, R: float, B: float, target: float):
     """Whether some selection of these users is worth ``target`` (within TIE_EPS).
 
     Returns (reached, selection): the selection is the lexicographically
-    first optimal one when the proof produced it, else None. Cheap proofs
-    go first: the weight sum, the fractional bound and the greedy value;
-    the exact solve runs only when none of them settles it, and settles a
-    pool whose users all fit at once.
+    first optimal one when the proof produced it, else None. The fractional
+    fills have already been ruled on, for every cut at once, by
+    :func:`_margin_cut`; the cheap proofs left go first, the weight sum and
+    the greedy value. The exact solve runs only when neither settles it, and
+    settles a pool whose users all fit at once.
     """
     if np.sum(w) < target - TIE_EPS:
-        return False, None
-    if min(_fractional_fill(w, r, R), _fractional_fill(w, b, B)) < target - _LP_ROOM:
         return False, None
     if _greedy_value(w, r, b, R, B) >= target - TIE_EPS:
         return True, None
@@ -707,9 +666,16 @@ def _margin_cut(w, r, b, R: float, B: float, target: float, limit: float, inclus
     ``limit`` count (or at it, when ``inclusive``). Returns the cut, the
     mask of users at or under it and their lexicographically first optimal
     selection if finding the cut produced it (else None), or None when no
-    such cut reaches the target. Reaching is monotone in the cut, so the
-    cut is bisected, after a first try at the tightest cut whose users carry
-    the target weight, which often reaches.
+    such cut reaches the target.
+
+    A cut whose smaller fractional fill
+    (:func:`~droneplace.selection._fill`) falls short of the target by more
+    than ``_LP_ROOM`` cannot reach it, and fills only grow with the cut, so
+    the cuts they rule out come first. Both fills use one item order per
+    budget: they are evaluated at the loosest cut, where most positions
+    already fall short, and then at every cut at once. Reaching is monotone
+    in the cut, so the cuts left are bisected with :func:`_reach`, after a
+    first try at the tightest of them, which often reaches.
     """
     key = b / r
     order = np.argsort(key, kind="stable")
@@ -721,6 +687,21 @@ def _margin_cut(w, r, b, R: float, B: float, target: float, limit: float, inclus
     cuts = cuts[ok]
     if not len(cuts):
         return None
+    budgets = []
+    for cost, cap in ((r, R), (b, B)):
+        by = _ratio_order(w, cost)  # one item order per budget, for every cut
+        budgets.append((key[by], w[by], cost[by], cap))
+
+    def fills_reach(at):
+        """Whether both fills of the users at or under each cut ``at`` reach the target."""
+        reach = np.ones(len(at), dtype=bool)
+        for key_s, w_s, cost_s, cap in budgets:
+            reach &= _fill(key_s <= at[:, None], w_s, cost_s, cap)[0] >= target - _LP_ROOM
+        return reach
+
+    if not fills_reach(cuts[-1:])[0]:
+        return None
+    cuts = cuts[np.argmax(fills_reach(cuts)):]
     found = {}
 
     def reaches(i: int) -> bool:

@@ -140,40 +140,86 @@ def solve_brute_force(inst: SelectionInstance) -> SelectionResult:
 # =====================================================================
 
 
-def _fractional_fill(weights, costs, cap) -> float:
-    """Best value of fractionally packing items under one capacity.
+def _ratio_order(w, c):
+    """Indices that sort items by weight per cost, highest first: the item
+    order of :func:`_fill`. Stable, so ties go by index, and zero-cost items
+    (an infinite ratio) come first. ``c`` may hold one cost row per row of
+    items; the order is then per row."""
+    with np.errstate(divide="ignore"):
+        return np.argsort(-(w / c), axis=-1, kind="stable")
 
-    Zero-cost items are taken whole first (infinite ratio). Classic LP
-    relaxation of a single-constraint knapsack.
+
+def _fill(taken, w, c, cap):
+    """Fractional fill of one budget, row by row: (value, critical ratio).
+
+    Dantzig's bound, the LP relaxation of a 0/1 knapsack (Martello & Toth,
+    *Knapsack Problems*, 1990, ch. 2). ``taken`` is a (rows, items) mask;
+    ``w`` and ``c`` hold the items' weights and costs, shared by every row
+    (items,) or per row (rows, items), each row in :func:`_ratio_order`.
+    ``cap`` is a scalar or one value per row, and counts as 0 below 0. A
+    row's taken items go in whole while their running cost stays within
+    ``cap + 1e-12``, and the first that does not goes in for the room left.
+    That item's weight per cost is the row's critical ratio t, or 0 when
+    every taken item goes in whole: the minimizer of the Lagrangian dual
+    ``G(t) = sum(max(0, w_i - t*c_i)) + t*cap`` over the taken items, which
+    bounds every selection within the cap. Untaken items' costs are never
+    read, so they may be ``inf``.
     """
-    cap = max(float(cap), 0.0)
-    free = costs <= 0
-    total = float(np.sum(weights[free]))
-    w = weights[~free]
-    c = costs[~free]
-    if len(w) == 0:
-        return total
-    order = np.lexsort((np.arange(len(w)), -(w / c)))
-    w = w[order]
-    c = c[order]
-    cum = np.cumsum(c)
-    k = int(np.searchsorted(cum, cap + 1e-12, side="right"))
-    total += float(np.sum(w[:k]))
-    if k < len(w):
-        rem = cap - (float(cum[k - 1]) if k else 0.0)
-        if rem > 0:
-            total += float(w[k]) * rem / float(c[k])
-    return total
+    rows = len(taken)
+    if not taken.shape[1]:
+        return np.zeros(rows), np.zeros(rows)
+    cap = np.maximum(cap, 0.0)
+    cost = np.where(taken, c, 0.0)
+    cum = cost.cumsum(axis=1)
+    # costs only add up, so the items that go in whole come first, and the
+    # first item past the cap is a taken one: the one that goes in partly
+    over = cum > (cap[:, None] if np.ndim(cap) else cap) + 1e-12
+    whole = taken & ~over
+    value = whole @ w if w.ndim == 1 else np.where(whole, w, 0.0).sum(axis=1)
+    at = np.arange(rows)
+    j = over.argmax(axis=1)
+    part = over[at, j]
+    w_j = w[at, j] if w.ndim == 2 else w[j]
+    c_j = np.where(part, cost[at, j], 1.0)
+    room = cap - np.where(j > 0, cum[at, j - 1], 0.0)
+    # a select, not a product: under an inf cap the room is inf
+    value += np.where(part, w_j * np.maximum(room, 0.0) / c_j, 0.0)
+    return value, part * (w_j / c_j)
+
+
+def _rays(r, b, R, B):
+    """The single budgets every selection under both caps meets: (mus, costs, caps).
+
+    Row 0 is the backhaul budget and row 1 the bandwidth budget. For each
+    mu >= 0 the mixed surrogate ``sum((r_i + mu*b_i) x_i) <= R + mu*B``
+    follows from the two; ``mus`` lists those of rows 2.., ``(R/B) * 4**k``
+    for k in -4..4, or none unless both caps are positive and finite.
+    """
+    mus = []
+    if R > 0 and B > 0 and math.isfinite(R) and math.isfinite(B):
+        mus = [(R / B) * 4.0**k for k in range(-4, 5)]
+    mu = np.array(mus)[:, None]
+    costs = np.concatenate([[r, b], r + mu * b])
+    caps = np.array([R, B] + [R + m * B for m in mus])
+    return mus, costs, caps
+
+
+def _ray_fills(w, costs, caps):
+    """:func:`_fill` of every item on each ray: (value, critical ratio) per ray."""
+    order = _ratio_order(w, costs)
+    taken = np.ones(costs.shape, dtype=bool)
+    return _fill(taken, w[order], np.take_along_axis(costs, order, axis=1), caps)
 
 
 def upper_bound(inst: SelectionInstance, fixed) -> float:
     """Admissible bound on the best completion of a partial assignment.
 
     ``fixed`` maps user index -> bool (or is a full-length sequence with None
-    for undecided users). The bound is the included weight plus the smaller of
-    the two single-constraint fractional-greedy relaxations over the free
-    users with the remaining capacities; it never undercuts the best feasible
-    completion, and with every variable fixed it returns the exact objective.
+    for undecided users). The bound is the included weight plus the smallest
+    fractional fill (:func:`_fill`) of the free users over the rays of
+    :func:`_rays` (the remaining backhaul, the remaining bandwidth and their
+    mixed surrogates); it never undercuts the best feasible completion, and
+    with every variable fixed it returns the exact objective.
     """
     n = inst.n
     state = np.full(n, -1, dtype=int)  # -1 free / 0 out / 1 in
@@ -193,11 +239,8 @@ def upper_bound(inst: SelectionInstance, fixed) -> float:
     free = state == -1
     if not np.any(free):
         return value
-    wf = inst.weights[free]
-    return value + min(
-        _fractional_fill(wf, inst.rates_mbps[free], r_rem),
-        _fractional_fill(wf, inst.bandwidths_mhz[free], b_rem),
-    )
+    _, costs, caps = _rays(inst.rates_mbps[free], inst.bandwidths_mhz[free], r_rem, b_rem)
+    return value + float(np.min(_ray_fills(inst.weights[free], costs, caps)[0]))
 
 
 def _value_grid(weights) -> float | None:
@@ -278,8 +321,7 @@ class _SuffixBounds:
         m = len(weights)
         self._weights = weights
         self._costs = costs
-        ratio = np.where(costs > 0, weights / np.where(costs > 0, costs, 1.0), np.inf)
-        self._order = np.lexsort((np.arange(m), -ratio))  # ratio desc, index asc
+        self._order = _ratio_order(weights, costs)
         # suffix tables materialize on first use: shallow searches (the common
         # case under aggressive root pruning) never pay for the deep levels
         self.cum_c: list = [None] * (m + 1)
@@ -315,14 +357,6 @@ class _SuffixBounds:
         return total
 
 
-def _surrogate_mus(R, B) -> list[float]:
-    """Multipliers mu of the mixed surrogate cost ``r + mu*b``: ``(R/B) * 4**k``
-    for k in -4..4, or none unless both caps are positive and finite."""
-    if R <= 0 or B <= 0 or not math.isfinite(R) or not math.isfinite(B):
-        return []
-    return [(R / B) * 4.0**k for k in range(-4, 5)]
-
-
 def _pick_surrogate_mu(w, r, b, R, B) -> float | None:
     """Multiplier for a weighted-sum surrogate constraint, or None.
 
@@ -332,66 +366,44 @@ def _pick_surrogate_mu(w, r, b, R, B) -> float | None:
     The pure rate/bandwidth bounds are the mu -> 0 and mu -> inf limits, so a
     mu is only worth the extra per-node lookup when some interior value beats
     both — which happens exactly in the regime where both budgets bind and
-    the pure bounds go slack.
+    the pure bounds go slack. One :func:`_fill` call evaluates every ray of
+    :func:`_rays`; the first mu whose fill is least, and below the smaller
+    pure fill by more than 1e-9, wins.
     """
-    mus = _surrogate_mus(R, B)
+    mus, costs, caps = _rays(r, b, R, B)
     if not mus:
         return None
-    base = min(_fractional_fill(w, r, R), _fractional_fill(w, b, B))
-    best_mu, best_val = None, base - 1e-9
-    for mu in mus:
-        val = _fractional_fill(w, r + mu * b, R + mu * B)
-        if val < best_val:
-            best_mu, best_val = mu, val
-    return best_mu
-
-
-def _dual_point(w, c, cap):
-    """Lagrangian value G and multiplier t of one single-constraint relaxation.
-
-    t is the critical weight/cost ratio of the fractional fill, the minimizer
-    of G(t) = sum(max(0, w_i - t*c_i)) + t*cap; G(t) bounds every feasible
-    value, and flipping item i away from the sign of its reduced cost
-    w_i - t*c_i lowers the bound by that amount.
-    """
-    positive = c > 0
-    if cap < 0:
-        cap = 0.0
-    if np.all(~positive):
-        return float(np.sum(w)), 0.0
-    ratio = w[positive] / c[positive]
-    order = np.argsort(-ratio)
-    cum = np.cumsum(c[positive][order])
-    j = int(np.searchsorted(cum, cap + 1e-12, side="right"))
-    t = float(ratio[order[j]]) if j < len(order) else 0.0
-    g_val = float(np.sum(np.maximum(0.0, w - t * c))) + t * cap
-    return g_val, t
+    value = _ray_fills(w, costs, caps)[0]
+    i = int(np.argmin(value[2:]))
+    return mus[i] if value[2 + i] < min(value[0], value[1]) - 1e-9 else None
 
 
 class _FlipBounds:
     """Reduced-cost bounds on selections that flip one item's natural state.
 
-    Evaluates the Lagrangian dual on the pure-rate, pure-bandwidth and mixed
-    surrogate rays; from the best point, ``drop_out[i]`` bounds the value of
-    every feasible selection excluding item i, and ``drop_in[i]`` of every
-    one including it. Any item whose flip bound rounds down to a target
-    threshold or below is therefore forced for all selections above that
-    threshold — fixing it preserves the full set of such selections,
-    including the lexicographically first optimum the search must return.
+    Evaluates the Lagrangian dual on the rays of :func:`_rays` (pure rate,
+    pure bandwidth and the mixed surrogates) with one :func:`_fill` call:
+    each ray's critical ratio t gives its dual value
+    ``G = sum(max(0, w_i - t*c_i)) + t*max(cap, 0)``, and the first ray with
+    the least G is the best point. From it, ``drop_out[i]`` bounds the value
+    of every feasible selection excluding item i, and ``drop_in[i]`` of every
+    one including it: flipping item i away from the sign of its reduced cost
+    ``w_i - t*c_i`` lowers the bound by that amount. Any item whose flip
+    bound rounds down to a target threshold or below is therefore forced for
+    all selections above that threshold — fixing it preserves the full set of
+    such selections, including the lexicographically first optimum the
+    search must return.
     """
 
     def __init__(self, w, r, b, R, B):
-        rays = [(r, R), (b, B)] + [(r + mu * b, R + mu * B) for mu in _surrogate_mus(R, B)]
-        best = None
-        for cost, cap in rays:
-            g_val, t = _dual_point(w, cost, cap)
-            if best is None or g_val < best[0]:
-                best = (g_val, t, cost)
-        g_val, t, cost = best
-        rc = w - t * cost
-        self.root = g_val
-        self.drop_out = g_val - np.maximum(0.0, rc)
-        self.drop_in = g_val + np.minimum(0.0, rc)
+        _, costs, caps = _rays(r, b, R, B)
+        t = _ray_fills(w, costs, caps)[1]
+        g = np.sum(np.maximum(0.0, w - t[:, None] * costs), axis=1) + t * np.maximum(caps, 0.0)
+        best = int(np.argmin(g))  # the first least
+        rc = w - t[best] * costs[best]
+        self.root = float(g[best])
+        self.drop_out = self.root - np.maximum(0.0, rc)
+        self.drop_in = self.root + np.minimum(0.0, rc)
 
     def fix(self, threshold: float, q: float | None):
         """(fixed_in, free) masks valid for selections with value > threshold."""
@@ -404,8 +416,7 @@ class _FlipBounds:
 def _greedy_value(weights, rates, bws, r_cap, b_cap) -> float:
     """Feasible greedy by weight per combined relative cost; warm-start value."""
     denom = rates / max(r_cap, 1e-300) + bws / max(b_cap, 1e-300)
-    ratio = np.where(denom > 0, weights / np.where(denom > 0, denom, 1.0), np.inf)
-    order = np.lexsort((np.arange(len(weights)), -ratio))
+    order = _ratio_order(weights, denom)
     value = 0.0
     r_rem, b_rem = r_cap, b_cap
     for i in order:

@@ -224,6 +224,10 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
     assert run_cli("place", "--seed", "-1", "--output-dir", str(out)) == 2
     assert "config error: seeds" in capsys.readouterr().err
     assert not out.exists()
+    for command in ("place", "gen-users"):
+        assert run_cli(command, "--set", "mean_users_per_cluster=0", "--output-dir", str(out)) == 2
+        assert "config error: mean_users_per_cluster" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_runtime_errors_exit_3_and_leave_no_partial_files(tmp_path, capsys):

@@ -83,6 +83,9 @@ def test_domain_invariants_become_config_errors():
     # numpy's seeding would reject it later, without naming the key
     with pytest.raises(ConfigError, match="seeds"):
         load_config(overrides=["seeds=[0, 3, -2]"])
+    # every draw would be empty: a config error, not a failed resample loop
+    with pytest.raises(ConfigError, match="mean_users_per_cluster"):
+        load_config(overrides=["mean_users_per_cluster=0"])
     with pytest.raises(ConfigError, match="strictly increasing"):
         load_config(overrides=["backhaul_values_mbps=[10, 10]"])
     with pytest.raises(ConfigError, match="strictly increasing"):

@@ -12,8 +12,7 @@ from droneplace.placement import (
     Placement,
     PlacementSearch,
     SystemParams,
-    _bandwidth_fill,
-    _rate_fill,
+    _margin_cut,
     _ratio_order,
     candidate_grid,
     evaluate_position,
@@ -22,7 +21,7 @@ from droneplace.placement import (
 from droneplace.selection import (
     TIE_EPS,
     SelectionInstance,
-    _fractional_fill,
+    _fill,
     solve_bnb,
     solve_brute_force,
 )
@@ -446,7 +445,7 @@ def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
     prescreen = R * w_g[-1] / r_g[-1] < target - _LP_ROOM
     rows = np.flatnonzero(sum_w[:, lay] >= floor)
     if prescreen:
-        rows = rows[_rate_fill(el[rows][:, by_ratio], w_g, r_g, R) >= target - 2 * _LP_ROOM]
+        rows = rows[_fill(el[rows][:, by_ratio], w_g, r_g, R)[0] >= target - 2 * _LP_ROOM]
     key = np.where(el[rows], search.bw_rows(lay, rows) / search.rates, np.inf)
     heavy = (key <= cut) @ w >= floor
     rows, key = rows[heavy], key[heavy]
@@ -455,7 +454,7 @@ def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
     at = np.arange(len(rows))
     bounds = key[at, order[at, first]]
     inside = el[rows] & (key <= cut)
-    ok = _rate_fill(inside[:, by_ratio], w_g, r_g, R) >= target - _LP_ROOM
+    ok = _fill(inside[:, by_ratio], w_g, r_g, R)[0] >= target - _LP_ROOM
     return sorted(zip(bounds[ok].tolist(), (rows[ok] * n_h + lay).tolist()))
 
 
@@ -494,6 +493,65 @@ def test_lazy_contenders_match_the_eager_order(seed):
                 assert got == eager_contenders(search, *args)
                 yielded += len(got)
         assert yielded > 0
+
+
+def cuts_reached(w, r, b, R, B, target):
+    """Every pathloss cut of one position's users, and whether the exact
+    optimum of the users at or under it reaches ``target``."""
+    key = b / r
+    cuts = np.unique(key)
+    reached = []
+    for cut in cuts:
+        m = key <= cut
+        res = solve_bnb(SelectionInstance(w[m], r[m], b[m], R, B), prune_below=target - 2 * TIE_EPS)
+        reached.append(res is not None and res.objective >= target - TIE_EPS)
+    return cuts, np.array(reached)
+
+
+@pytest.mark.parametrize("seed", [4, 14, 28])
+def test_margin_cut_matches_solving_every_cut(seed):
+    # per mode, the first candidate the margin stage reaches on the top
+    # layer and the heaviest one on the lowest layer, at the scan's target
+    cfg = load_config()
+    R, B = cfg.system.backhaul_mbps, cfg.system.bandwidth_mhz
+    found = missed = 0
+    for mode in ("network_centric", "user_centric"):
+        users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
+        search = PlacementSearch(users, cfg.system, cfg.environment)
+        w = np.array([u.weight for u in users])
+        sum_w = np.stack([el @ w for el in search.eligible], axis=1)
+        by_ratio = _ratio_order(w, search.rates)
+        target = search._scan(w, R, sum_w, by_ratio)
+        top = len(search.hs) - 1
+        _, first = next(search._contenders(top, w, R, target, np.inf, sum_w, by_ratio))
+        for lay, row in ((top, first // len(search.hs)), (0, int(np.argmax(sum_w[:, 0])))):
+            el = search.eligible[lay][row]
+            args = (w[el], search.rates[el], search.bw_rows(lay, [row])[0][el], R, B, target)
+            cuts, reached = cuts_reached(*args)
+            key = args[2] / args[1]
+            # reaching is monotone in the cut, as the bisection assumes
+            assert np.all(reached[np.argmax(reached):]) or not np.any(reached)
+            limits = [np.inf, cuts[len(cuts) // 2]]
+            if np.any(reached):
+                limits.append(cuts[np.argmax(reached)])
+            for limit in limits:
+                for inclusive in (True, False):
+                    within = (cuts <= limit) if inclusive else (cuts < limit)
+                    got = _margin_cut(*args, limit, inclusive)
+                    if not np.any(reached & within):
+                        assert got is None
+                        missed += 1
+                        continue
+                    want = cuts[np.argmax(reached & within)]
+                    cut, mask, res = got
+                    assert cut == want
+                    assert np.array_equal(mask, key <= want)
+                    if res is not None:
+                        m = key <= want
+                        exact = solve_bnb(SelectionInstance(*(a[m] for a in args[:3]), R, B))
+                        assert res.selected == exact.selected
+                    found += 1
+    assert found and missed
 
 
 def lattice_users(mode):
@@ -839,27 +897,6 @@ def test_nothing_served_keeps_the_first_candidate():
         res = optimal_placement(users, sys, URBAN)
         assert res.served_count == 0
         assert res.placement == candidate_grid(sys)[0]
-
-
-def test_row_wise_backhaul_fill_matches_the_scalar_fill():
-    # the scan and the margin stage screen candidates with row-wise
-    # fractional fills; _fractional_fill is their reference
-    rng = np.random.default_rng(41)
-    w = rng.choice([1.0, 0.1, 0.5, 1.5, 2.0], 40)
-    r = rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], 40)
-    order = np.lexsort((np.arange(40), -(w / r)))
-    taken = rng.random((200, 40)) < 0.5
-    taken[0] = False
-    for R in (0.0, 3.0, 15.0, 100.0):
-        got = _rate_fill(taken[:, order], w[order], r[order], R)
-        want = [_fractional_fill(w[m], r[m], R) for m in taken]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
-    # bandwidth needs differ per row, and some tie on weight per bandwidth
-    b = r * rng.choice([0.05, 0.1, 0.2, 0.4], (200, 40))
-    for B in (0.0, 0.5, 3.0, 15.0, 100.0):
-        got = _bandwidth_fill(taken, w, b, B)
-        want = [_fractional_fill(w[m], row[m], B) for m, row in zip(taken, b)]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def test_thread_count_does_not_change_the_answer():

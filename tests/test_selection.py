@@ -5,6 +5,9 @@ import pytest
 
 from droneplace.selection import (
     SelectionInstance,
+    _fill,
+    _FlipBounds,
+    _ratio_order,
     solve_bnb,
     solve_brute_force,
     upper_bound,
@@ -235,6 +238,131 @@ def test_bound_rejects_infeasible_partial_assignments():
     problem = inst([1, 1], [2, 1], [0.3, 0.2], 1.5, 15.0)
     with pytest.raises(ValueError, match="capacity"):
         upper_bound(problem, [True, True])
+
+
+def test_flip_bounds_are_admissible():
+    # drop_out[i] bounds every selection without item i, drop_in[i] every one
+    # with it; 1e-6 of room, as the placement screens leave, for selections
+    # the solvers accept up to 5e-10 over a cap
+    rng = np.random.default_rng(43)
+    both_bind = 0
+    for trial in range(150):
+        n = int(rng.integers(1, 15))
+        rates = rng.choice([0.0, 0.1, 0.5, 1.0, 2.0], n)
+        bws = rng.choice([0.0, 0.02, 0.07, 0.1, 0.25], n)
+        weights = rates if trial % 3 == 0 else rng.choice([0.1, 1.0, 2.0], n)
+        weights = np.where(weights > 0, weights, 1.0)
+        if trial % 10 == 0:
+            rates = np.zeros(n)  # every item free on the backhaul
+        R = float(np.sum(rates)) * rng.choice([0.0, 0.3, 0.6, 1.2])
+        B = float(np.sum(bws)) * rng.choice([0.0, 0.3, 0.6, 1.2])
+        flip = _FlipBounds(weights, rates, bws, R, B)
+        best = solve_brute_force(inst(weights, rates, bws, R, B)).objective
+        only_r = solve_brute_force(inst(weights, rates, bws, R, np.inf)).objective
+        only_b = solve_brute_force(inst(weights, rates, bws, np.inf, B)).objective
+        both_bind += best < min(only_r, only_b) - 1e-9
+        assert flip.root >= best - 1e-6
+        for i in range(n):
+            rest = np.arange(n) != i
+            without = inst(weights[rest], rates[rest], bws[rest], R, B)
+            assert solve_brute_force(without).objective <= flip.drop_out[i] + 1e-6
+            if rates[i] <= R and bws[i] <= B:
+                with_i = inst(weights[rest], rates[rest], bws[rest], R - rates[i], B - bws[i])
+                value = weights[i] + solve_brute_force(with_i).objective
+                assert value <= flip.drop_in[i] + 1e-6
+    assert both_bind >= 20
+
+
+# ---------------------------------------------------------------------
+# the fractional fill, against an LP solver
+# ---------------------------------------------------------------------
+
+
+def lp_value(w, c, taken, cap):
+    """HiGHS's optimum of the LP relaxation of one row's knapsack."""
+    from scipy.optimize import linprog
+
+    w, c = w[taken], c[taken]
+    if not len(w):
+        return 0.0
+    if cap == np.inf:  # HiGHS takes no infinite bound; every item fits
+        return float(np.sum(w))
+    res = linprog(-w, A_ub=c[None, :], b_ub=[max(cap, 0.0)], bounds=(0, 1), method="highs")
+    assert res.success, res.message
+    return -res.fun
+
+
+def fill_rows(rng, rows, n, per_row):
+    """Random rows of a knapsack fill: weights, costs (zero on some items,
+    ties in weight per cost, ``inf`` on some items not taken) and caps."""
+    shape = (rows, n) if per_row else (n,)
+    w = rng.choice([0.1, 0.5, 1.0, 2.0], shape)
+    c = w * rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], shape)  # ratios tie often
+    c = c * rng.choice([1.0, 1.0, 1.0, 0.7], shape)
+    taken = rng.random((rows, n)) < 0.6
+    taken[0] = False
+    if per_row:
+        c = np.where(~taken & (rng.random((rows, n)) < 0.3), np.inf, c)
+    total = np.sum(np.where(taken, np.broadcast_to(c, (rows, n)), 0.0), axis=1)
+    caps = total * rng.choice([-0.5, 0.0, 0.2, 0.5, 0.9, 1.5], rows)
+    caps[1] = -1.0
+    caps[2] = np.inf
+    return w, c, taken, caps
+
+
+def test_fill_matches_an_lp_solver():
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(47)
+    for per_row in (False, True):
+        for n in (0, 1, 7, 30):
+            rows = 60
+            w, c, taken, caps = fill_rows(rng, rows, n, per_row)
+            order = _ratio_order(w, c)
+            if per_row:
+                at = np.arange(rows)[:, None]
+                args = (taken[at, order], w[at, order], c[at, order])
+            else:
+                args = (taken[:, order], w[order], c[order])
+            for cap in (caps, 1.5):  # a cap per row, and one for every row
+                value, t = _fill(*args, cap)
+                assert value.shape == t.shape == (rows,)
+                for i in range(rows):
+                    wi = w[i] if per_row else w
+                    ci = c[i] if per_row else c
+                    cap_i = cap[i] if np.ndim(cap) else cap
+                    want = lp_value(wi, ci, taken[i], cap_i)
+                    assert value[i] == pytest.approx(want, abs=1e-9)
+                    assert t[i] >= 0.0
+                    if cap_i == np.inf:
+                        assert t[i] == 0.0  # every taken item fits
+                        continue
+                    # the critical ratio minimizes the Lagrangian dual
+                    # G(t) = sum(max(0, w - t c)) + t max(cap, 0) over the
+                    # taken items, whose minimum is the LP value; G is
+                    # convex and piecewise linear, with its breaks at 0 and
+                    # at the items' weight per cost
+                    wt, ct = wi[taken[i]], ci[taken[i]]
+
+                    def dual(x):
+                        return np.sum(np.maximum(0.0, wt - x * ct)) + x * max(cap_i, 0.0)
+
+                    assert dual(t[i]) == pytest.approx(want, abs=1e-9)
+                    with np.errstate(divide="ignore"):
+                        breaks = np.append(wt[ct > 0] / ct[ct > 0], 0.0)
+                    assert all(dual(t[i]) <= dual(x) + 1e-9 for x in breaks)
+
+
+def test_ratio_order_sorts_each_row_by_weight_per_cost():
+    rng = np.random.default_rng(53)
+    for per_row in (False, True):
+        w, c, _, _ = fill_rows(rng, 20, 25, per_row)
+        order = _ratio_order(w, c)
+        for i in range(20):
+            wi = w[i] if per_row else w
+            ci = c[i] if per_row else c
+            ratio = [np.inf if ci[k] == 0 else wi[k] / ci[k] for k in range(25)]
+            want = sorted(range(25), key=lambda k: (-ratio[k], k))
+            assert list(order[i] if per_row else order) == want
 
 
 # ---------------------------------------------------------------------

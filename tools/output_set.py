@@ -1,9 +1,9 @@
-"""Write the byte-identity output set of this checkout's droneplace.
+"""Write the byte-identity output set of a droneplace source tree.
 
-    python3 tools/output_set.py OUTDIR
+    python3 tools/output_set.py [--src DIR] OUTDIR
 
-Runs the CLI in-process, from the ``src/`` next to this script, and writes
-under OUTDIR:
+Runs the CLI in-process, from ``DIR`` (default: the ``src/`` next to this
+script), and writes under OUTDIR:
 
 - ``place_network_centric/`` and ``place_user_centric/``: ``place`` for
   population seeds 0-63;
@@ -17,9 +17,16 @@ under OUTDIR:
   ``robustness`` on the default seeds;
 - ``cdf/``: ``cdf`` on the default seeds (it runs both modes).
 
-A change that must leave results alone is checked by running this in two
-checkouts and comparing the trees with ``diff -r``. Exits 1 if any
-invocation fails.
+A change that must leave results alone is checked by writing the set for
+both source trees and comparing them with ``diff -r``. An older commit's
+tree needs no checkout of its own::
+
+    git archive <commit> src | tar -x -C OLD
+    python3 tools/output_set.py --src OLD/src OLD_OUT
+    python3 tools/output_set.py NEW_OUT
+    diff -r OLD_OUT NEW_OUT
+
+Exits 1 if any invocation fails.
 """
 
 from __future__ import annotations
@@ -52,9 +59,11 @@ def invocations(out: Path):
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--src", type=Path, default=SRC,
+                   help="source tree holding the droneplace package (default: %(default)s)")
     p.add_argument("outdir", type=Path)
     args = p.parse_args(argv)
-    sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(args.src.resolve()))
     from droneplace import cli
 
     failed = 0
