@@ -17,14 +17,17 @@ position is scored by the same search on a one-point grid
 (:func:`evaluate_position`), so the two cannot apply different rules.
 
 A best-first grid scan finds the maximum objective: candidates go by
-eligible weight sum, highest first, and are screened in blocks by an
-admissible upper bound (the fractional-relaxation bound, floored to the
-weight grid); only a candidate whose bound can beat the incumbent is solved
-exactly, and the scan stops at the first whose weight sum cannot. Pruning
-never changes the maximum, and the scan's order cannot change the result:
-a margin stage then applies steps 2 and 3 over every candidate, reading
-only the maximum from the scan. Both run on the calling thread; the
-``threads`` arguments of the public entry points start no threads.
+eligible weight sum, highest first. The heaviest is solved on its own, and
+the rest are screened in blocks against that incumbent by an admissible
+upper bound (the fractional-relaxation bound, floored to the weight grid);
+only a candidate whose bound can beat the incumbent is solved exactly. The
+scan stops at the first whose weight sum, capped by the backhaul-side
+bound of all users together, cannot; with user-centric weights that is
+usually right after the first solve. Pruning never changes the maximum,
+and the scan's order cannot change the result: a margin stage then applies
+steps 2 and 3 over every candidate, reading only the maximum from the
+scan. Both run on the calling thread; the ``threads`` arguments of the
+public entry points start no threads.
 
 Pathloss rises strictly with horizontal distance, so one table per
 altitude layer, of pathloss at evenly spaced horizontal distances, serves
@@ -361,10 +364,24 @@ class PlacementSearch:
         """
         w = np.asarray(weights, dtype=float)
         R = float(backhaul_mbps)
-        sum_w = np.stack([el @ w for el in self.eligible], axis=1)
+        sum_w = self._weight_sums(w)
         by_ratio = _ratio_order(w, self.rates)
         target = self._scan(w, R, sum_w, by_ratio)
         return self._widest_margin(target, w, R, sum_w, by_ratio)
+
+    def _weight_sums(self, w) -> np.ndarray:
+        """Each candidate's eligible weight, (n_xy, n_h).
+
+        A block of grid rows at a time: ``el @ w`` casts the boolean rows to
+        float first, and a whole layer's cast cost more than the products.
+        """
+        n_xy = len(self._gx)
+        sum_w = np.empty((n_xy, len(self.hs)))
+        for lo in range(0, n_xy, _GEOMETRY_ROWS):
+            rows = slice(lo, lo + _GEOMETRY_ROWS)
+            for lay, el in enumerate(self.eligible):
+                sum_w[rows, lay] = el[rows] @ w
+        return sum_w
 
     def _scan(self, w, R: float, sum_w, by_ratio) -> float:
         """The maximum objective over all candidates, found best-first.
@@ -372,33 +389,42 @@ class PlacementSearch:
         ``sum_w`` holds each candidate's eligible weight, (n_xy, n_h), and
         ``by_ratio`` the users by descending weight per rate
         (:func:`~droneplace.selection._ratio_order`). Candidates go by that
-        weight, highest first (ties in grid order), and the scan stops at
-        the first whose weight cannot beat the incumbent. Each block of
-        candidates is screened at once, the bandwidth-free test first: a
-        candidate whose backhaul-side fractional fill
-        (:func:`~droneplace.selection._fill`, in the order ``by_ratio``),
-        rounded down to the weight grid, cannot beat the incumbent is
-        dropped before its link budgets are read. Any other goes to
-        ``solve_bnb`` only if the smaller of its backhaul- and
+        weight, highest first (ties in grid order). The first, the heaviest,
+        is solved on its own, so every later block of ``_CHUNK`` candidates
+        is screened against a solved incumbent (Land and Doig's
+        incumbent-first rule). A candidate's weight is bounded by ``top``,
+        the backhaul-side fractional fill
+        (:func:`~droneplace.selection._fill`, in the order ``by_ratio``) of
+        all users, rounded down to the weight grid: the fill only grows
+        with the item set. The scan stops at the first candidate whose
+        weight, so capped, cannot beat the incumbent; with user-centric
+        weights that is usually right after the first solve, once it
+        reaches R. Within a block the bandwidth-free test goes first: a
+        candidate whose own backhaul-side fill, so rounded, cannot beat the
+        incumbent is dropped before its link budgets are read. Any other
+        goes to ``solve_bnb`` only if the smaller of its backhaul- and
         bandwidth-side fills, so rounded, beats the incumbent (each row
-        sorts its own items for the bandwidth side; a pool whose
-        users all fit is settled there with no node explored). The first
-        candidate is always solved, so the value returned is attained. No
-        candidate comes back: the margin stage finds its own. The scan runs
-        on the calling thread.
+        sorts its own items for the bandwidth side; a pool whose users all
+        fit is settled there with no node explored). No candidate comes
+        back: the margin stage finds its own. The scan runs on the calling
+        thread.
         """
         B = self.sys.bandwidth_mhz
         n_h = len(self.hs)
         q = _value_grid(w)
-        bound = sum_w.reshape(-1)
-        order = np.argsort(-bound, kind="stable")
         w_g, r_g = w[by_ratio], self.rates[by_ratio]
+        weight = sum_w.reshape(-1)
+        order = np.argsort(-weight, kind="stable")
+        top = _grid_floor(_fill(np.ones((1, len(w)), dtype=bool), w_g, r_g, R)[0][0] + _LP_ROOM, q)
+        bound = np.minimum(weight, top)
 
         # the incumbent also skips the bounds that merely tie it: any optimal
         # candidate will do
         best = skip_at = prune_below = -math.inf
-        for lo in range(0, len(order), _CHUNK):
-            blk = order[lo:lo + _CHUNK]
+        # the heaviest candidate alone, then blocks of _CHUNK
+        edges = [0, *range(1, len(order), _CHUNK), len(order)]
+        for lo, hi in zip(edges, edges[1:]):
+            blk = order[lo:hi]
             blk = blk[bound[blk] > skip_at]
             if not len(blk):
                 break

@@ -310,50 +310,50 @@ class _SuffixBounds:
     """Per-suffix fractional-greedy tables for one constraint.
 
     Branching in index order keeps every node's free set a suffix, so the
-    greedy order restricted to users k.. can be precomputed once per suffix
-    and each node's bound becomes one binary search. The tables are plain
-    lists: bound() runs millions of times on hard instances and scalar
-    bisect on a list is roughly an order of magnitude cheaper than the
-    equivalent numpy searchsorted call.
+    greedy order restricted to users k.. can be precomputed and each node's
+    bound becomes one binary search. Every depth's running sums are built
+    at once: row k keeps the whole ratio order with the items before k
+    zeroed, and adding 0.0 leaves a running sum unchanged, so the row
+    equals the running sums of items k.. alone, bit for bit, and one list
+    of item weights and costs serves every depth. A depth's first visit
+    searches its numpy row; a depth visited again gets plain lists, since
+    bound() runs millions of times on hard instances and scalar bisect on
+    a list is roughly an order of magnitude cheaper than numpy element
+    access or a searchsorted call. A dive visits most depths once.
     """
 
     def __init__(self, weights, costs):
         m = len(weights)
-        self._weights = weights
-        self._costs = costs
-        self._order = _ratio_order(weights, costs)
-        # suffix tables materialize on first use: shallow searches (the common
-        # case under aggressive root pruning) never pay for the deep levels
+        order = _ratio_order(weights, costs)
+        c, w = costs[order], weights[order]
+        self.item_c = c.tolist()
+        self.item_w = w.tolist()
+        later = order >= np.arange(m + 1)[:, None]  # (m + 1, m): row k, items k..
+        self._rows_c = np.where(later, c, 0.0).cumsum(axis=1)
+        self._rows_w = np.where(later, w, 0.0).cumsum(axis=1)
+        # per depth: None before its first visit, False after it, then lists
         self.cum_c: list = [None] * (m + 1)
         self.cum_w: list = [None] * (m + 1)
-        self.item_c: list = [None] * (m + 1)
-        self.item_w: list = [None] * (m + 1)
-
-    def _materialize(self, k: int):
-        sel = self._order[self._order >= k]
-        c = self._costs[sel]
-        w = self._weights[sel]
-        self.item_c[k] = c.tolist()
-        self.item_w[k] = w.tolist()
-        self.cum_c[k] = np.cumsum(c).tolist()
-        self.cum_w[k] = np.cumsum(w).tolist()
-        return self.cum_c[k]
 
     def bound(self, k: int, cap: float) -> float:
         cum_c = self.cum_c[k]
         if cum_c is None:
-            cum_c = self._materialize(k)
-        if not cum_c:
-            return 0.0
+            self.cum_c[k] = False
+            cum_c, cum_w = self._rows_c[k], self._rows_w[k]
+        elif cum_c is False:
+            cum_c = self.cum_c[k] = self._rows_c[k].tolist()
+            cum_w = self.cum_w[k] = self._rows_w[k].tolist()
+        else:
+            cum_w = self.cum_w[k]
         if cap < 0.0:
             cap = 0.0
         j = bisect_right(cum_c, cap + 1e-12)
-        total = self.cum_w[k][j - 1] if j else 0.0
+        total = cum_w[j - 1] if j else 0.0
         if j < len(cum_c):
             rem = cap - (cum_c[j - 1] if j else 0.0)
-            c_next = self.item_c[k][j]
+            c_next = self.item_c[j]
             if rem > 0 and c_next > 0:
-                total += self.item_w[k][j] * rem / c_next
+                total += self.item_w[j] * rem / c_next
         return total
 
 

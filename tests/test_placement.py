@@ -463,7 +463,7 @@ def margin_stage_inputs(search, w, R):
     weight sums, the ratio order, and three cuts: ``inf``, where the stage
     starts, the final candidate's loosest cut, and the final cut."""
     n_h = len(search.hs)
-    sum_w = np.stack([el @ w for el in search.eligible], axis=1)
+    sum_w = search._weight_sums(w)
     by_ratio = _ratio_order(w, search.rates)
 
     def loosest(c, pool):
@@ -519,7 +519,7 @@ def test_margin_cut_matches_solving_every_cut(seed):
         users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
         search = PlacementSearch(users, cfg.system, cfg.environment)
         w = np.array([u.weight for u in users])
-        sum_w = np.stack([el @ w for el in search.eligible], axis=1)
+        sum_w = search._weight_sums(w)
         by_ratio = _ratio_order(w, search.rates)
         target = search._scan(w, R, sum_w, by_ratio)
         top = len(search.hs) - 1
@@ -840,6 +840,39 @@ def test_exact_margin_ties_go_to_the_first_candidate():
     assert (res.placement, res.objective, res.selected) == (placement, objective, served)
 
 
+def solve_every_candidate(search, w, R):
+    """The exact selection optimum at every candidate, in grid order."""
+    n_h = len(search.hs)
+    objectives = []
+    for c in range(search.n_candidates):
+        row, lay = divmod(c, n_h)
+        mask = search.eligible[lay][row]
+        inst = SelectionInstance(
+            w[mask], search.rates[mask], search.bw_rows(lay, [row])[0][mask], R, search.sys.bandwidth_mhz
+        )
+        objectives.append(solve_bnb(inst).objective)
+    return np.array(objectives)
+
+
+def scan(search, w, R):
+    return search._scan(w, R, search._weight_sums(w), _ratio_order(w, search.rates))
+
+
+def cluster_users(mode, counts=(20, 10), rates=(2.0, 0.5)):
+    """Two clusters out of each other's reach at pl_max_db = 100: by
+    default 20 users needing 2 Mbps near (150, 150) and 10 needing 0.5 Mbps
+    near (1050, 1050)."""
+    jitter = np.random.default_rng(7).uniform(-60.0, 60.0, (sum(counts), 2))
+    users = [
+        User(id=i, x_m=float(c + jitter[i, 0]), y_m=float(c + jitter[i, 1]), rate_mbps=rate)
+        for i, (c, rate) in enumerate([(150.0, rates[0])] * counts[0] + [(1050.0, rates[1])] * counts[1])
+    ]
+    return assign_weights(users, mode)
+
+
+SMALL_GRID = dict(bounds=AreaBounds(0.0, 1200.0, 0.0, 1200.0), grid_step_m=300.0, h_max_m=400.0)
+
+
 def test_scan_finds_the_best_objective_over_every_candidate():
     """The scan prunes, but the number it hands the margin stage is the
     maximum of the exact optimum over every candidate.
@@ -849,36 +882,75 @@ def test_scan_finds_the_best_objective_over_every_candidate():
     candidates with the most eligible weight (20 users needing 2 Mbps) lose
     to those serving the other 10 (0.5 Mbps each), so the scan must go past
     its first solve."""
-    grid = dict(bounds=AreaBounds(0.0, 1200.0, 0.0, 1200.0), grid_step_m=300.0, h_max_m=400.0)
-    jitter = np.random.default_rng(7).uniform(-60.0, 60.0, (30, 2))
-    clusters = [
-        User(id=i, x_m=float(c + jitter[i, 0]), y_m=float(c + jitter[i, 1]), rate_mbps=rate)
-        for i, (c, rate) in enumerate([(150.0, 2.0)] * 20 + [(1050.0, 0.5)] * 10)
-    ]
     rng = np.random.default_rng(31)
     for weighted in (False, True):
         mode = "user_centric" if weighted else "network_centric"
         cases = (
-            (default_system(**grid, backhaul_mbps=6.0), scattered_users(rng, 30, span=1200.0, weighted=weighted)),
-            (default_system(**grid, backhaul_mbps=5.0, pl_max_db=100.0), assign_weights(clusters, mode)),
+            (default_system(**SMALL_GRID, backhaul_mbps=6.0), scattered_users(rng, 30, span=1200.0, weighted=weighted)),
+            (default_system(**SMALL_GRID, backhaul_mbps=5.0, pl_max_db=100.0), cluster_users(mode)),
         )
         for sys, users in cases:
             w = np.array([u.weight for u in users])
-            R, B = sys.backhaul_mbps, sys.bandwidth_mhz
             search = PlacementSearch(users, sys, URBAN)
             assert search.n_candidates == 50
-            n_h = len(search.hs)
-            objectives = []
-            for c in range(search.n_candidates):
-                row, lay = divmod(c, n_h)
-                mask = search.eligible[lay][row]
-                res = solve_bnb(
-                    SelectionInstance(w[mask], search.rates[mask], search.bw_rows(lay, [row])[0][mask], R, B)
-                )
-                objectives.append(res.objective)
-            sum_w = np.stack([el @ w for el in search.eligible], axis=1)
-            target = search._scan(w, R, sum_w, _ratio_order(w, search.rates))
-            assert abs(target - max(objectives)) <= TIE_EPS
+            objectives = solve_every_candidate(search, w, sys.backhaul_mbps)
+            assert abs(scan(search, w, sys.backhaul_mbps) - np.max(objectives)) <= TIE_EPS
+
+
+def test_user_centric_scan_stops_once_the_first_solve_reaches_the_backhaul(monkeypatch):
+    """User-centric weights equal the rates, so no candidate is worth more
+    than R: once the heaviest candidate's solve reaches it, the scan stops.
+    It has read the link budgets of that one (row, layer) pair and screened
+    no other candidate."""
+    from droneplace import placement
+
+    filled, fill = [], placement._fill
+
+    def spy_fill(taken, *args):
+        filled.append(len(taken))
+        return fill(taken, *args)
+
+    monkeypatch.setattr(placement, "_fill", spy_fill)
+    cfg = load_config()
+    R = cfg.system.backhaul_mbps
+    for seed in range(4):
+        users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, "user_centric")
+        search = PlacementSearch(users, cfg.system, cfg.environment)
+        filled.clear()
+        assert abs(scan(search, np.array([u.weight for u in users]), R) - R) <= TIE_EPS
+        assert search.rows_computed == 1
+        # the stop bound's one row and the first candidate's two fills
+        assert filled == [1, 1, 1]
+
+
+def test_user_centric_scan_goes_on_while_the_backhaul_is_not_reached():
+    """The stop bound, the fill of all users at R, ends the scan only once
+    the incumbent reaches it.
+
+    - Bandwidth binds at the heaviest candidate (0.5 MHz): its solve stays
+      below R, and another candidate does better.
+    - R sits 4e-10 under a point of the weight grid, which a selection
+      reaches within the solvers' feasibility slack; the heaviest candidate
+      (ten 0.7 Mbps users) cannot reach that point, five 1 Mbps users out
+      of its reach can. Without the room the bound leaves for that slack,
+      the scan would stop at 4.9.
+    """
+    cases = (
+        (default_system(**SMALL_GRID, backhaul_mbps=12.0, bandwidth_mhz=0.5, pl_max_db=100.0),
+         cluster_users("user_centric", counts=(8, 6), rates=(2.0, 1.0))),
+        (default_system(**SMALL_GRID, backhaul_mbps=5.0 - 4e-10, pl_max_db=100.0),
+         cluster_users("user_centric", counts=(10, 5), rates=(0.7, 1.0))),
+    )
+    for sys, users in cases:
+        w = np.array([u.weight for u in users])
+        search = PlacementSearch(users, sys, URBAN)
+        objectives = solve_every_candidate(search, w, sys.backhaul_mbps)
+        weight = search._weight_sums(w).reshape(-1)
+        heaviest = int(np.argmax(weight))
+        assert weight[heaviest] >= sys.backhaul_mbps
+        assert objectives[heaviest] < np.max(objectives) - TIE_EPS
+        assert abs(scan(search, w, sys.backhaul_mbps) - np.max(objectives)) <= TIE_EPS
+    assert np.max(objectives) == 5.0
 
 
 def test_nothing_served_keeps_the_first_candidate():

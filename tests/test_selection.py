@@ -8,6 +8,7 @@ from droneplace.selection import (
     _fill,
     _FlipBounds,
     _ratio_order,
+    _SuffixBounds,
     solve_bnb,
     solve_brute_force,
     upper_bound,
@@ -363,6 +364,54 @@ def test_ratio_order_sorts_each_row_by_weight_per_cost():
             ratio = [np.inf if ci[k] == 0 else wi[k] / ci[k] for k in range(25)]
             want = sorted(range(25), key=lambda k: (-ratio[k], k))
             assert list(order[i] if per_row else order) == want
+
+
+def suffix_bound(w, c, k, cap):
+    """The DFS's fractional bound of items k.. from a table of those items
+    alone: the ratio order filtered to them, its running sums, one binary
+    search. The reference for ``_SuffixBounds``, which builds every depth's
+    running sums at once."""
+    from bisect import bisect_right
+
+    order = _ratio_order(w, c)
+    sel = order[order >= k]
+    item_c, item_w = c[sel].tolist(), w[sel].tolist()
+    cum_c, cum_w = np.cumsum(c[sel]).tolist(), np.cumsum(w[sel]).tolist()
+    if not cum_c:
+        return 0.0
+    cap = max(cap, 0.0)
+    j = bisect_right(cum_c, cap + 1e-12)
+    total = cum_w[j - 1] if j else 0.0
+    if j < len(cum_c):
+        rem = cap - (cum_c[j - 1] if j else 0.0)
+        if rem > 0 and item_c[j] > 0:
+            total += item_w[j] * rem / item_c[j]
+    return total
+
+
+def test_suffix_bounds_match_per_suffix_tables_bit_for_bit():
+    """Every depth, k = m included, on the first visit (the numpy row) and
+    on later ones (plain lists), with zero costs, ratio ties and caps below
+    0, at the caps and between them."""
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 9, 40):
+        for _ in range(15):
+            w = rng.choice([0.1, 0.5, 1.0, 2.0], n) * rng.choice([1.0, 1.0, 1.3], n)
+            c = w * rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], n)  # ratios tie often
+            total = float(np.sum(c))
+            caps = np.concatenate([[-1.0, 0.0, total, np.inf], total * rng.uniform(-0.2, 1.2, 8)])
+            caps = np.concatenate([caps, np.cumsum(c[_ratio_order(w, c)])])  # at the running sums
+            want = np.array([[suffix_bound(w, c, k, float(cap)) for k in range(n + 1)] for cap in caps])
+            # a fresh table per cap: every depth on its first visit
+            for cap, row in zip(caps, want):
+                fresh = _SuffixBounds(w, c)
+                first = [fresh.bound(k, float(cap)) for k in range(n + 1)]
+                assert np.array(first).tobytes() == row.tobytes(), (n, cap)
+            # one table for all caps: every depth visited again and again
+            bounds = _SuffixBounds(w, c)
+            for k in np.concatenate([rng.permutation(n + 1) for _ in range(3)]):
+                got = [bounds.bound(int(k), float(cap)) for cap in caps]
+                assert np.array(got).tobytes() == want[:, k].tobytes(), (n, k)
 
 
 # ---------------------------------------------------------------------
