@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -86,6 +87,9 @@ def _coerce(key: str, value):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected number, got {value!r}")
+        # JSON parsing accepts NaN and Infinity, which no key can take
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         return float(value)
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
@@ -96,6 +100,8 @@ def _coerce(key: str, value):
             return list(value)
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
             raise ConfigError(f"{key}: expected list of numbers, got {value!r}")
+        if not all(math.isfinite(v) for v in value):
+            raise ConfigError(f"{key}: expected list of finite numbers, got {value!r}")
         return [float(v) for v in value]
     raise ConfigError(f"{key}: unsupported type")  # pragma: no cover
 

@@ -36,15 +36,14 @@ threshold: a user inside the inner one is eligible, one beyond the outer
 one is not, and exact pathloss decides only in the thin shell between
 them. A link's bandwidth need is computed on demand, for the grid rows a
 screen actually reads (:meth:`PlacementSearch.bw_rows`); the screens that
-need no bandwidth go first. The margin stage ranks each layer's candidates
-by a lower bound taken from distances alone, the same table's 1/zeta, and
-reads link budgets only for the candidates it reaches, best first
-(:meth:`PlacementSearch._contenders`).
+need no bandwidth go first. The margin stage orders each layer's
+candidates by a lower bound taken from distances alone, the same table's
+1/zeta (:meth:`PlacementSearch._distance_screen`), and reads link budgets
+only for the candidates it visits before that bound passes its cut.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -66,7 +65,6 @@ from .users import AreaBounds
 
 _CHUNK = 256  # candidates per screening block
 _GEOMETRY_ROWS = 128  # grid rows per geometry block
-_SCREEN = 64  # candidates per fill screen in the margin stage
 # Fractional bounds hold each budget exactly, but the solvers accept a
 # selection up to _SEARCH_EPS over it, which can be worth weight-per-cost
 # times that much more; screens on those bounds leave this much room.
@@ -261,7 +259,8 @@ class PlacementSearch:
         # inner disc (its square is -1). Where `reach` stays within the outer
         # level, the outer radius is inf. The step count sets only the
         # shell's width, never which links are eligible. The margin stage
-        # reads the same table's 1/zeta, a little lowered (see _contenders).
+        # reads the same table's 1/zeta, a little lowered (see
+        # _distance_screen).
         reach = np.hypot(
             np.ptp(np.append(self.xs, self._ux)), np.ptp(np.append(self.ys, self._uy))
         )
@@ -471,12 +470,16 @@ class PlacementSearch:
         The best cut starts open, at ``inf``. Layers go highest first, since
         high placements usually win and an early tight cut screens out most
         of the rest. Within a layer, candidates go in order of a lower bound
-        on their own cut, until the bound passes the best cut found. An exact
-        tie on the cut goes to the earlier candidate in grid order. Only the
-        target comes from the scan, so which optimal candidate the scan met
-        first cannot matter. With no user served (a target of 0, since
-        weights are positive) there is no margin to widen, and the first
-        candidate in grid order stands.
+        on their own cut (:meth:`_contenders`), until the bound passes the
+        best cut found. The cut tightens as the layer goes on, so each
+        candidate is screened again at the current cut
+        (:meth:`_distance_screen`) before its link budgets are read. An exact
+        tie on the cut goes to the earlier candidate in grid order, so the
+        winner is the least (cut, candidate) whatever order the candidates
+        are visited in. Only the target comes from the scan, so which optimal
+        candidate the scan met first cannot matter. With no user served (a
+        target of 0, since weights are positive) there is no margin to
+        widen, and the first candidate in grid order stands.
         """
         B = self.sys.bandwidth_mhz
         if target == 0.0:
@@ -484,19 +487,27 @@ class PlacementSearch:
             inst = SelectionInstance(w[pool], self.rates[pool], self.bw_rows(0, [0])[0][pool], R, B)
             return 0, pool, solve_bnb(inst)
         n_h = len(self.hs)
+        # a set worth the target fills at least min(target, R * its lowest
+        # weight per rate); when that reaches the target, no row can fail the
+        # backhaul-side fill, and the screens skip it (as with user-centric
+        # weights, whose weight per rate is 1 throughout)
+        w_g, r_g = w[by_ratio], self.rates[by_ratio]
+        fill = (by_ratio, w_g, r_g, R) if R * w_g[-1] / r_g[-1] < target - _LP_ROOM else None
         cut, c = math.inf, None
         for lay in reversed(range(n_h)):
-            for lb, cand in self._contenders(lay, w, R, target, cut, sum_w, by_ratio):
+            for lb, cand in self._contenders(lay, w, target, cut, sum_w, fill):
                 if lb > cut or (lb == cut and c is not None and cand > c):
                     break
                 row = cand // n_h
+                if not self._distance_screen(lay, np.array([row]), w, target, cut, fill)[0][0]:
+                    continue
                 el = self.eligible[lay][row]
                 found = _margin_cut(
                     w[el], self.rates[el], self.bw_rows(lay, [row])[0][el], R, B, target,
                     cut, c is None or cand < c,
                 )
                 if found is not None:
-                    (cut, keep, res), c = found, cand
+                    (cut, keep, res), c = found, int(cand)
         row, lay = divmod(c, n_h)
         pool = self.eligible[lay][row].copy()
         pool[np.flatnonzero(pool)[~keep]] = False
@@ -506,116 +517,87 @@ class PlacementSearch:
             res = solve_bnb(inst, prune_below=target - 2 * TIE_EPS)
         return c, pool, res
 
-    def _contenders(self, lay, w, R, target, cut, sum_w, by_ratio):
+    def _contenders(self, lay, w, target: float, cut: float, sum_w, fill):
         """One layer's candidates that may reach ``target`` within ``cut``.
 
-        Yields (bound, candidate) by ascending bound, then grid order. The
-        bound is a lower bound on the candidate's own cut: its users, taken
-        by rising pathloss, first carry the target weight at some user, and
-        that user's 1/zeta key is the bound. A candidate is screened out
-        when its users at or under ``cut`` lack the target weight or their
-        backhaul-side fractional fill falls short of the target. Weight per
-        rate does not depend on position, so the fill uses one global item
-        order, ``by_ratio``. Before anything else, a candidate goes whose
-        whole eligible set's fill falls short by more than twice the room:
-        the fill is monotone in the item set, so the later screen would drop
-        it too. This prescreen is skipped where it provably drops nothing,
-        as with user-centric weights, whose weight per rate is 1 throughout.
+        Returns an iterator of (bound, candidate) pairs, numpy scalars
+        sorted by bound, then grid order, of the candidates
+        :meth:`_distance_screen` keeps. The visit usually stops after a few,
+        so none are made for the rest: a list of every pair left a
+        user-centric ``place`` loop about 3.5 MiB more resident. The bound is
+        a lower bound on the candidate's own cut, taken from distances
+        alone, so no link budget is read here.
 
-        The visit usually ends after a few candidates, so link budgets are
-        read lazily, best first, by a distance bound (the A* scheme of Hart,
-        Nilsson and Raphael, 1968). Pathloss, and with it 1/zeta, rises
-        strictly with horizontal distance, and a key ``bw / rates`` is 1/zeta
-        up to a few ulp. The layer's pathloss table (built with the search)
-        gives 1/zeta, lowered by ``_TABLE_SLACK``, at evenly spaced distance
-        steps from 0 out to the farthest any link reaches, so:
-
-        - a user whose key is at or under ``cut`` lies nearer than the
-          first step whose table value exceeds ``cut``. So the candidates
-          whose users within that radius carry ``floor - TIE_EPS`` include
-          every one whose users at or under ``cut`` carry ``floor``
-          (:meth:`_distance_screen`);
-        - the users at or under a candidate's bound carry ``floor``, and
-          none of them lies farther than its bound's user, give or take
-          float error. Summed in distance order they carry at least
-          ``floor - TIE_EPS``, since reordering a sum moves it by far less
-          than ``TIE_EPS``. So they first do so at some distance ``d*``
-          no farther than the bound's user, and the table at the last step
-          at or under ``d*`` is at most the bound.
-
-        The slack covers the float error of 1/zeta, of a key against it, and
-        of squared distances against ``np.hypot``, many times over.
-
-        Candidates go by that lower bound; the exact key, bound and both
-        screens run on blocks of ``_SCREEN`` of them, into a heap. The
-        heap's head is yielded only while it lies strictly below the next
-        lower bound not yet evaluated, since every such candidate's bound is
-        at least its lower bound; on a tie the next block goes first, as it
-        may hold the same bound earlier in grid order. So the sequence is
-        that of evaluating every candidate and sorting, and a consumer that
-        stops at a bound over its cut sees the same prefix. Rows go in
-        blocks so the temporaries stay small.
+        ``fill`` is None, or ``(by_ratio, w[by_ratio], rates[by_ratio], R)``
+        when the backhaul-side fractional fill can screen anything (see
+        :meth:`_widest_margin`); weight per rate does not depend on
+        position, so one item order serves every row. Then, before anything
+        else, a candidate goes whose whole eligible set's fill falls short
+        by more than twice the room: the fill is monotone in the item set,
+        so the distance screen would drop it too, and this test is cheaper.
+        Rows go in blocks so the temporaries stay small.
         """
-        floor = target - 2 * TIE_EPS
-        n_h = len(self.hs)
         el = self.eligible[lay]
-        w_g, r_g = w[by_ratio], self.rates[by_ratio]
-        # a set worth `floor` fills at least min(floor, R * its lowest weight
-        # per rate); when that reaches the target, no row can fail the fill
-        prescreen = R * w_g[-1] / r_g[-1] < target - _LP_ROOM
-        candidates = np.flatnonzero(sum_w[:, lay] >= floor)
+        candidates = np.flatnonzero(sum_w[:, lay] >= target - 2 * TIE_EPS)
         rows, lower = [candidates[:0]], [np.empty(0)]
         for lo in range(0, len(candidates), _CHUNK):
             blk = candidates[lo:lo + _CHUNK]
-            if prescreen:
+            if fill is not None:
+                by_ratio, w_g, r_g, R = fill
                 blk = blk[_fill(el[blk][:, by_ratio], w_g, r_g, R)[0] >= target - 2 * _LP_ROOM]
-            near, lb = self._distance_screen(lay, blk, w, floor, cut)
+            near, lb = self._distance_screen(lay, blk, w, target, cut, fill)
             rows.append(blk[near])
             lower.append(lb)
         rows, lower = np.concatenate(rows), np.concatenate(lower)
         rank = np.lexsort((rows, lower))
-        lower, rows = lower[rank], rows[rank]
+        return zip(lower[rank], rows[rank] * len(self.hs) + lay)
 
-        heap = []
-        for lo in range(0, len(rows), _SCREEN):
-            while heap and heap[0][0] < lower[lo]:
-                yield heapq.heappop(heap)
-            blk = rows[lo:lo + _SCREEN]
-            key = np.where(el[blk], self.bw_rows(lay, blk) / self.rates, np.inf)
-            heavy = (key <= cut) @ w >= floor
-            blk, key = blk[heavy], key[heavy]
-            order = np.argsort(key, axis=1)
-            first = np.argmax(np.cumsum(w[order], axis=1) >= floor, axis=1)
-            at = np.arange(len(blk))
-            bound = key[at, order[at, first]]
-            inside = el[blk] & (key <= cut)
-            ok = _fill(inside[:, by_ratio], w_g, r_g, R)[0] >= target - _LP_ROOM
-            for item in zip(bound[ok].tolist(), (blk[ok] * n_h + lay).tolist()):
-                heapq.heappush(heap, item)
-        while heap:
-            yield heapq.heappop(heap)
-
-    def _distance_screen(self, lay, rows, w, floor: float, cut: float):
+    def _distance_screen(self, lay, rows, w, target: float, cut: float, fill):
         """Distance-only screen and lower bounds of grid rows on layer ``lay``.
 
-        Every user whose key is at or under ``cut`` lies within the radius
-        of the first table step whose value exceeds ``cut``. Returns a mask
-        of the rows whose eligible users within that radius carry ``floor -
-        TIE_EPS``, and for each kept row a lower bound on the 1/zeta key at
-        which its users, taken by rising pathloss, first carry ``floor``:
-        the layer's table at the last step at or under the distance where
-        they first carry ``floor - TIE_EPS`` (see :meth:`_contenders`).
-        Reads no link budget.
+        Returns a mask of the rows that may reach ``target`` within ``cut``,
+        and for each kept row a lower bound on its own cut. Reads no link
+        budget. Pathloss, and with it 1/zeta, rises strictly with horizontal
+        distance, and a key ``bw / rates`` is 1/zeta up to a few ulp. The
+        layer's pathloss table (built with the search) gives 1/zeta,
+        lowered by ``_TABLE_SLACK``, at evenly spaced distance steps from 0
+        out to the farthest any link reaches, so:
+
+        - a user whose key is at or under ``cut`` lies nearer than the
+          first step whose table value exceeds ``cut``. The users within
+          that radius include every user at or under ``cut``, so a row is
+          kept only if they carry ``floor - TIE_EPS`` (``floor`` is
+          ``target - 2 * TIE_EPS``) and, when ``fill`` is given (see
+          :meth:`_contenders`), their backhaul-side fractional fill reaches
+          ``target - _LP_ROOM``: weight and fill only grow with the item
+          set, and :func:`_margin_cut` rejects a row that misses either at
+          its loosest cut;
+        - the users at or under a row's exact bound, the key at which its
+          users taken by key first carry ``floor``, carry ``floor``, and
+          none of them lies farther than its bound's user, give or take
+          float error. Summed in distance order they carry at least
+          ``floor - TIE_EPS``, since reordering a sum moves it by far less
+          than ``TIE_EPS``. So they first do so at some distance ``d*`` no
+          farther than the bound's user, and the table at the last step at
+          or under ``d*``, the returned bound, is at most the exact bound.
+
+        The slack covers the float error of 1/zeta, of a key against it, and
+        of squared distances against ``np.hypot``, many times over.
         """
         steps2, inv_zeta = self._steps2, self._inv_zeta[lay]
         over = np.flatnonzero(inv_zeta > cut)
         r2 = steps2[over[0]] * (1.0 + _SQUARED_SLACK) if len(over) else np.inf
-        carry = floor - TIE_EPS
+        carry = target - 3 * TIE_EPS
         dx = self._gx[rows, None] - self._ux
         dy = self._gy[rows, None] - self._uy
         d2 = dx * dx + dy * dy
         el = self.eligible[lay][rows]
-        near = (el & (d2 <= r2)) @ w >= carry
+        inside = el & (d2 <= r2)
+        near = inside @ w >= carry
+        if fill is not None:
+            by_ratio, w_g, r_g, R = fill
+            kept = np.flatnonzero(near)
+            near[kept] = _fill(inside[kept][:, by_ratio], w_g, r_g, R)[0] >= target - _LP_ROOM
         d2 = np.where(el[near], d2[near], np.inf)
         order = np.argsort(d2, axis=1)
         cum = np.cumsum(w[order], axis=1)

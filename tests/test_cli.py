@@ -230,6 +230,16 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_non_finite_numbers_exit_2_and_write_nothing(tmp_path, capsys):
+    # NaN once served nobody and wrote NaN into the placement JSON, and a
+    # non-finite grid step or altitude failed later as a runtime error
+    out = tmp_path / "out"
+    for text in ("backhaul_mbps=NaN", "grid_step_m=NaN", "h_max_m=Infinity"):
+        assert run_cli("place", "--set", text, "--output-dir", str(out)) == 2
+        assert f"config error: {text.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_runtime_errors_exit_3_and_leave_no_partial_files(tmp_path, capsys):
     out = tmp_path / "out"
     # a population that is empty on every resample attempt

@@ -71,6 +71,20 @@ def test_type_mismatch_is_named_in_the_error():
         load_config(overrides=["threads=2.5"])
 
 
+def test_non_finite_numbers_are_named_in_the_error(tmp_path):
+    # JSON parsing accepts NaN and Infinity in overrides and files alike
+    for text in ("backhaul_mbps=NaN", "grid_step_m=NaN", "h_max_m=Infinity",
+                 "pl_max_db=-Infinity", "backhaul_values_mbps=[10, NaN]",
+                 "rate_set_mbps=[0.5, Infinity]"):
+        key = text.split("=")[0]
+        with pytest.raises(ConfigError, match=f"{key}: expected .*finite"):
+            load_config(overrides=[text])
+    path = tmp_path / "nan.json"
+    path.write_text('{"tx_power_w": NaN}')
+    with pytest.raises(ConfigError, match="tx_power_w"):
+        load_config(str(path))
+
+
 def test_domain_invariants_become_config_errors():
     with pytest.raises(ConfigError):
         load_config(overrides=["pl_max_db=-1"])

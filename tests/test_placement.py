@@ -425,12 +425,12 @@ def test_link_budgets_are_computed_on_demand_and_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# margin stage: contenders evaluated lazily
+# margin stage: contenders ordered by distance bounds
 # ---------------------------------------------------------------------
 
 
 def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
-    """The margin stage's contenders with every candidate evaluated up front.
+    """The margin stage's contenders with every candidate's exact keys.
 
     The reference for ``PlacementSearch._contenders``: each candidate with
     the target weight (and, where it can drop anything, a whole-set fill
@@ -458,6 +458,19 @@ def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
     return sorted(zip(bounds[ok].tolist(), (rows[ok] * n_h + lay).tolist()))
 
 
+def backhaul_fill(search, w, R, by_ratio):
+    """The screens' ``fill`` argument: the backhaul-side fill in the order
+    ``by_ratio``."""
+    return by_ratio, w[by_ratio], search.rates[by_ratio], R
+
+
+def screen_fill(search, w, R, target, by_ratio):
+    """The ``fill`` the margin stage hands its screens: None where the
+    backhaul-side fill cannot drop anything."""
+    fill = backhaul_fill(search, w, R, by_ratio)
+    return fill if R * fill[1][-1] / fill[2][-1] < target - _LP_ROOM else None
+
+
 def margin_stage_inputs(search, w, R):
     """What the margin stage hands ``_contenders``: the scan's objective, the
     weight sums, the ratio order, and three cuts: ``inf``, where the stage
@@ -476,23 +489,178 @@ def margin_stage_inputs(search, w, R):
     return target, sum_w, by_ratio, (np.inf, loosest(c, search.eligible[lay][row]), loosest(c, pool))
 
 
-@pytest.mark.parametrize("seed", [0, 4, 14, 25, 28])
-def test_lazy_contenders_match_the_eager_order(seed):
-    cfg = load_config()
-    R = cfg.system.backhaul_mbps
-    for mode in ("network_centric", "user_centric"):
-        users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
-        search = PlacementSearch(users, cfg.system, cfg.environment)
+def lattice_users(mode):
+    """100 users on a 100 m lattice offset by 50 m from the grid's.
+
+    Grid points see users at exactly equal distances, both several users
+    around one point and the same pattern around many points; rates repeat
+    every three lattice steps, so equal-distance users have rates 0.1, 1.0
+    and 1.5 Mbps, whose 1/zeta keys ``(rate / zeta) / rate`` differ by an
+    ulp.
+    """
+    rates = (0.1, 1.0, 1.5)
+    users = [
+        User(id=10 * i + j, x_m=50.0 + 100.0 * i, y_m=50.0 + 100.0 * j,
+             rate_mbps=rates[(i + 2 * j) % 3])
+        for i in range(10)
+        for j in range(10)
+    ]
+    return assign_weights(users, mode)
+
+
+LATTICE_GRID = dict(bounds=AreaBounds(0.0, 1000.0, 0.0, 1000.0), h_max_m=200.0, backhaul_mbps=12.0)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 14, 25, 28, "lattice"])
+def test_contenders_cover_the_eager_order(seed):
+    """Every candidate the exact keys keep comes out of ``_contenders``,
+    with a lower bound at most its exact bound, and the list is sorted by
+    (bound, candidate). On the lattice, at two targets and more cuts: keys
+    an ulp apart, and candidates tied on the bound."""
+    modes = ("network_centric", "user_centric")
+    if seed == "lattice":
+        sys, env = default_system(**LATTICE_GRID), URBAN
+        populations = [lattice_users(mode) for mode in modes]
+    else:
+        cfg = load_config()
+        sys, env = cfg.system, cfg.environment
+        populations = [population(sys, cfg.cluster, cfg.rate_set_mbps, seed, mode)[0] for mode in modes]
+    R = sys.backhaul_mbps
+    covered = one_ulp = tied = 0
+    for users in populations:
+        search = PlacementSearch(users, sys, env)
         w = np.array([u.weight for u in users])
         target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
-        yielded = 0
-        for cut in cuts:
-            for lay in range(len(search.hs)):
-                args = (lay, w, R, target, cut, sum_w, by_ratio)
-                got = list(search._contenders(*args))
-                assert got == eager_contenders(search, *args)
-                yielded += len(got)
-        assert yielded > 0
+        for lay in range(len(search.hs)):
+            targets, more_cuts = (target,), ()
+            if seed == "lattice":
+                key = search.bw_rows(lay, np.arange(len(sum_w))) / search.rates
+                finite = np.unique(key[np.isfinite(key)])
+                one_ulp += int(np.sum(np.diff(finite) <= np.spacing(finite[1:])))
+                targets, more_cuts = (target, 4 * min(w)), np.quantile(finite, [0.25, 0.5, 1.0])
+            for t in targets:
+                fill = screen_fill(search, w, R, t, by_ratio)
+                for cut in (*cuts, *more_cuts):
+                    got = list(search._contenders(lay, w, t, float(cut), sum_w, fill))
+                    assert got == sorted(got)
+                    lower = {cand: lb for lb, cand in got}
+                    for bound, cand in eager_contenders(search, lay, w, R, t, float(cut), sum_w, by_ratio):
+                        assert lower[cand] <= bound
+                        covered += 1
+                    tied += sum(a[0] == b[0] for a, b in zip(got, got[1:]))
+    assert covered > 0
+    if seed == "lattice":
+        assert one_ulp > 0 and tied > 0
+
+
+def exact_bounds(search, lay, rows, w, floor):
+    """Each row's key where its users, taken by key, first carry ``floor``."""
+    key = np.where(search.eligible[lay][rows], search.bw_rows(lay, rows) / search.rates, np.inf)
+    order = np.argsort(key, axis=1)
+    first = np.argmax(np.cumsum(w[order], axis=1) >= floor, axis=1)
+    at = np.arange(len(rows))
+    return key[at, order[at, first]]
+
+
+def margin_in_grid_order(search, w, R, target):
+    """The margin stage restated: :func:`_margin_cut` on every candidate in
+    grid order, each against the best cut so far, so a tie keeps the
+    earlier candidate. Returns the winner and its served pool."""
+    n_h = len(search.hs)
+    cut, c = np.inf, None
+    for cand in range(search.n_candidates):
+        row, lay = divmod(cand, n_h)
+        el = search.eligible[lay][row]
+        bw = search.bw_rows(lay, [row])[0][el]
+        found = _margin_cut(
+            w[el], search.rates[el], bw, R, search.sys.bandwidth_mhz, target, cut, c is None
+        )
+        if found is not None:
+            (cut, keep, _), c = found, cand
+    row, lay = divmod(c, n_h)
+    pool = search.eligible[lay][row].copy()
+    pool[np.flatnonzero(pool)[~keep]] = False
+    return c, pool
+
+
+def larger_grid_cases():
+    """The 50-candidate grid and the two 30-user populations (network- and
+    then user-centric) of ``test_matches_an_enumeration_on_a_larger_grid``."""
+    sys = default_system(**SMALL_GRID, backhaul_mbps=6.0)
+    rng = np.random.default_rng(31)
+    return [(sys, scattered_users(rng, 30, span=1200.0, weighted=weighted)) for weighted in (False, True)]
+
+
+def own_cuts(search, lay, rows, w, R, target):
+    """Each row's own cut, the tightest at which its users reach ``target``
+    (``inf`` where none does): the tightest lower bound there is."""
+    cuts = []
+    for row in rows:
+        el = search.eligible[lay][row]
+        bw = search.bw_rows(lay, [row])[0][el]
+        found = _margin_cut(
+            w[el], search.rates[el], bw, R, search.sys.bandwidth_mhz, target, np.inf, True
+        )
+        cuts.append(np.inf if found is None else found[0])
+    return np.array(cuts)
+
+
+@pytest.mark.parametrize("bounds", ["table", "own_cut_on_even_rows", "own_cut_on_odd_rows"])
+@pytest.mark.parametrize("grid", ["lattice", "larger"])
+def test_margin_stage_does_not_depend_on_the_visiting_order(monkeypatch, grid, bounds):
+    """The margin stage visits candidates by lower bound and stops at one
+    over its cut; it must pick what :func:`_margin_cut` on every candidate
+    in grid order picks. With each row's own cut as the bound on some rows
+    and the table's bound on others, a candidate that ties the best cut on
+    the lattice comes after a later one in grid order, and only a bound
+    equal to the cut with an earlier candidate lets it in."""
+    if grid == "lattice":
+        sys = default_system(**LATTICE_GRID)
+        cases = [(sys, lattice_users(mode)) for mode in ("network_centric", "user_centric")]
+    else:
+        cases = larger_grid_cases()
+    for sys, users in cases:
+        search = PlacementSearch(users, sys, URBAN)
+        w = np.array([u.weight for u in users])
+        R, B = sys.backhaul_mbps, sys.bandwidth_mhz
+        if bounds != "table":
+            parity = 0 if bounds == "own_cut_on_even_rows" else 1
+
+            def mixed(lay, rows, w, target, cut, fill, search=search, screen=search._distance_screen):
+                near, lb = screen(lay, rows, w, target, cut, fill)
+                own = own_cuts(search, lay, rows[near], w, R, target)
+                return near, np.where(rows[near] % 2 == parity, own, lb)
+
+            monkeypatch.setattr(search, "_distance_screen", mixed)
+        sum_w = search._weight_sums(w)
+        by_ratio = _ratio_order(w, search.rates)
+        target = search._scan(w, R, sum_w, by_ratio)
+        c, pool, res = search._widest_margin(target, w, R, sum_w, by_ratio)
+        want, want_pool = margin_in_grid_order(search, w, R, target)
+        assert c == want
+        assert np.array_equal(pool, want_pool)
+        row, lay = divmod(c, len(search.hs))
+        bw = search.bw_rows(lay, [row])[0]
+        inst = SelectionInstance(w[pool], search.rates[pool], bw[pool], R, B)
+        assert res.selected == solve_bnb(inst, prune_below=target - 2 * TIE_EPS).selected
+
+
+def test_margin_stage_keeps_a_pool_whose_fill_is_within_the_room():
+    """A backhaul a hair under the two nearby users' rates: the solvers
+    serve both within their feasibility slack, but the backhaul-side fill
+    of those users falls just short of the target, by less than
+    ``_LP_ROOM``. A 2 Mbps user lowers the least weight per rate, so the
+    fill screens run; they must keep every candidate serving the pair."""
+    sys = small_system(backhaul_mbps=2.0 - 3e-10)
+    users = [
+        User(id=0, x_m=250.0, y_m=250.0, rate_mbps=1.0),
+        User(id=1, x_m=270.0, y_m=240.0, rate_mbps=1.0),
+        User(id=2, x_m=550.0, y_m=500.0, rate_mbps=2.0),
+    ]
+    got = optimal_placement(users, sys, URBAN)
+    placement, objective, served = widest_margin_oracle(users, sys)
+    assert got.objective == objective == 2.0
+    assert (got.placement, got.selected) == (placement, served) and served == (True, True, False)
 
 
 def cuts_reached(w, r, b, R, B, target):
@@ -523,7 +691,8 @@ def test_margin_cut_matches_solving_every_cut(seed):
         by_ratio = _ratio_order(w, search.rates)
         target = search._scan(w, R, sum_w, by_ratio)
         top = len(search.hs) - 1
-        _, first = next(search._contenders(top, w, R, target, np.inf, sum_w, by_ratio))
+        fill = screen_fill(search, w, R, target, by_ratio)
+        _, first = next(search._contenders(top, w, target, np.inf, sum_w, fill))
         for lay, row in ((top, first // len(search.hs)), (0, int(np.argmax(sum_w[:, 0])))):
             el = search.eligible[lay][row]
             args = (w[el], search.rates[el], search.bw_rows(lay, [row])[0][el], R, B, target)
@@ -554,107 +723,54 @@ def test_margin_cut_matches_solving_every_cut(seed):
     assert found and missed
 
 
-def lattice_users(mode):
-    """100 users on a 100 m lattice offset by 50 m from the grid's.
-
-    Grid points see users at exactly equal distances, both several users
-    around one point and the same pattern around many points; rates repeat
-    every three lattice steps, so equal-distance users have rates 0.1, 1.0
-    and 1.5 Mbps, whose 1/zeta keys ``(rate / zeta) / rate`` differ by an
-    ulp.
-    """
-    rates = (0.1, 1.0, 1.5)
-    users = [
-        User(id=10 * i + j, x_m=50.0 + 100.0 * i, y_m=50.0 + 100.0 * j,
-             rate_mbps=rates[(i + 2 * j) % 3])
-        for i in range(10)
-        for j in range(10)
-    ]
-    return assign_weights(users, mode)
-
-
-@pytest.mark.parametrize("screen", [1, 3, 64])
-def test_lazy_contenders_match_the_eager_order_on_exact_ties(monkeypatch, screen):
-    from droneplace import placement
-
-    # small blocks put equal bounds on both sides of a block boundary
-    monkeypatch.setattr(placement, "_SCREEN", screen)
-    sys = default_system(
-        bounds=AreaBounds(0.0, 1000.0, 0.0, 1000.0), h_max_m=200.0, backhaul_mbps=12.0
-    )
-    one_ulp = tied = 0
-    for mode in ("network_centric", "user_centric"):
-        users = lattice_users(mode)
-        search = PlacementSearch(users, sys, URBAN)
-        w = np.array([u.weight for u in users])
-        R = sys.backhaul_mbps
-        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
-        for lay in range(len(search.hs)):
-            key = search.bw_rows(lay, np.arange(len(sum_w))) / search.rates
-            finite = np.unique(key[np.isfinite(key)])
-            one_ulp += int(np.sum(np.diff(finite) <= np.spacing(finite[1:])))
-            for t in (target, 4 * min(w)):
-                for cut in (*cuts, *np.quantile(finite, [0.25, 0.5, 1.0])):
-                    args = (lay, w, R, t, float(cut), sum_w, by_ratio)
-                    got = list(search._contenders(*args))
-                    assert got == eager_contenders(search, *args)
-                    tied += sum(a[0] == b[0] for a, b in zip(got, got[1:]))
-    assert one_ulp > 0 and tied > 0
-
-
-def exact_bounds(search, lay, rows, w, floor):
-    """Each row's key where its users, taken by key, first carry ``floor``."""
-    key = np.where(search.eligible[lay][rows], search.bw_rows(lay, rows) / search.rates, np.inf)
-    order = np.argsort(key, axis=1)
-    first = np.argmax(np.cumsum(w[order], axis=1) >= floor, axis=1)
-    at = np.arange(len(rows))
-    return key[at, order[at, first]]
-
-
 @pytest.mark.parametrize("seed", [4, 28])
 def test_distance_bounds_are_admissible(seed):
     """On every candidate with the target weight, the table's lower bound is
-    at most the exact bound, and the radius screen keeps every candidate the
-    exact screen on the weight within the cut keeps."""
+    at most the exact bound, and at each cut the distance screen keeps every
+    candidate whose users at or under the cut carry the target weight, and,
+    with the backhaul-side fill on, also fill to the target."""
     cfg = load_config()
     R = cfg.system.backhaul_mbps
+    dropped = 0
     for mode in ("network_centric", "user_centric"):
         users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
         search = PlacementSearch(users, cfg.system, cfg.environment)
         w = np.array([u.weight for u in users])
-        target, sum_w, _, cuts = margin_stage_inputs(search, w, R)
+        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
         floor = target - 2 * TIE_EPS
+        fill = backhaul_fill(search, w, R, by_ratio)
         for lay in range(len(search.hs)):
             rows = np.flatnonzero(sum_w[:, lay] >= floor)
-            near, lb = search._distance_screen(lay, rows, w, floor, np.inf)
+            near, lb = search._distance_screen(lay, rows, w, target, np.inf, None)
             assert np.all(near)
             assert np.all(lb <= exact_bounds(search, lay, rows, w, floor))
-            key = np.where(search.eligible[lay][rows], search.bw_rows(lay, rows) / search.rates, np.inf)
+            el = search.eligible[lay][rows]
+            key = np.where(el, search.bw_rows(lay, rows) / search.rates, np.inf)
             finite = key[np.isfinite(key)]
             for cut in (*cuts, *np.quantile(finite, [0.1, 0.5, 0.9])):
-                heavy = (key <= cut) @ w >= floor
-                near, _ = search._distance_screen(lay, rows, w, floor, float(cut))
+                inside = el & (key <= cut)
+                heavy = inside @ w >= floor
+                fills = _fill(inside[:, by_ratio], *fill[1:])[0] >= target - _LP_ROOM
+                near, _ = search._distance_screen(lay, rows, w, target, float(cut), None)
                 assert np.all(near[heavy])
+                filled, _ = search._distance_screen(lay, rows, w, target, float(cut), fill)
+                assert np.all(filled[heavy & fills])
+                dropped += int(np.sum(near & ~filled))
+    # the fill screen drops rows the weight screen keeps
+    assert dropped > 0
 
 
-def test_distance_bounds_hold_at_the_table_steps():
-    """Users at some of each layer's table distances inside its outer radius
-    and 1e-6 m either side, along an axis and a diagonal, five rates at each
-    spot: where the j-th nearest user first carries the weight, the lower
-    bound is at most the j-th smallest key, and a cut at that key keeps the
-    candidate. At a table distance itself the key can sit an ulp under the
-    table's unlowered value, which the table's slack must absorb."""
-    sys = default_system()
-    hs = sorted({p.h_m for p in candidate_grid(sys)})
-    axes = ([0.0], [0.0], hs)
-    # two users beyond every outer radius, at opposite corners of all the
-    # others, fix the span of the table
+def table_step_users(sys, hs, spots):
+    """Users at some of each layer's table distances inside its outer
+    radius, five rates at each of the (x, y) ``spots(d)`` gives for such a
+    distance d, and two users beyond every outer radius, at opposite
+    corners of all the others, that fix the span of the table. Returns the
+    users and the table's distances."""
     corners = [
         User(id=0, x_m=-4000.0, y_m=-4000.0, rate_mbps=1.0),
         User(id=1, x_m=4000.0, y_m=4000.0, rate_mbps=1.0),
     ]
-    probe = PlacementSearch(corners, sys, URBAN, axes=axes)
-    steps = np.sqrt(probe._steps2)
+    steps = np.sqrt(PlacementSearch(corners, sys, URBAN, axes=([0.0], [0.0], hs))._steps2)
     users = list(corners)
     for h in hs:
         # the layer's outer radius is the first step over the shell's outer
@@ -662,57 +778,71 @@ def test_distance_bounds_hold_at_the_table_steps():
         pl = pathloss_db(steps, h, URBAN, sys.carrier_hz)
         inside = int(np.argmax(pl > sys.pl_max_db + _RADIUS_MARGIN_DB))
         for k in sorted({*range(0, inside, 16), 1, 2, inside - 2, inside - 1}):
-            for d in steps[k] + np.array([-1e-6, 0.0, 1e-6]):
-                for x, y in ((d, 0.0), (d / np.sqrt(2.0), d / np.sqrt(2.0))):
-                    users += [
-                        User(id=len(users) + i, x_m=float(x), y_m=float(y), rate_mbps=rate)
-                        for i, rate in enumerate((0.1, 0.3, 0.7, 1.0, 1.5))
-                    ]
-    search = PlacementSearch(users, sys, URBAN, axes=axes)
+            for x, y in spots(steps[k]):
+                users += [
+                    User(id=len(users) + i, x_m=float(x), y_m=float(y), rate_mbps=rate)
+                    for i, rate in enumerate((0.1, 0.3, 0.7, 1.0, 1.5))
+                ]
+    return users, steps
+
+
+def test_distance_bounds_hold_at_the_table_steps():
+    """Users at the table's distances and 1e-6 m either side, along an axis
+    and a diagonal (:func:`table_step_users`): where the j-th nearest user
+    first carries the weight, the lower bound is at most the j-th smallest
+    key, and a cut at that key keeps the candidate. At a table distance
+    itself the key can sit an ulp under the table's unlowered value, which
+    the table's slack must absorb."""
+    sys = default_system()
+    hs = sorted({p.h_m for p in candidate_grid(sys)})
+
+    def spots(step):
+        for d in step + np.array([-1e-6, 0.0, 1e-6]):
+            yield from ((d, 0.0), (d / np.sqrt(2.0), d / np.sqrt(2.0)))
+
+    users, steps = table_step_users(sys, hs, spots)
+    search = PlacementSearch(users, sys, URBAN, axes=([0.0], [0.0], hs))
+    assert np.array_equal(search._steps2, steps * steps)
     w = np.ones(len(users))
     row = np.array([0])
     checked = 0
-    assert np.array_equal(search._steps2, probe._steps2)
     for lay in range(len(hs)):
         key = search.bw_rows(lay, row)[0] / search.rates
         ranked = np.sort(key[search.eligible[lay][0]])
         for j, bound in enumerate(ranked, start=1):
-            floor = j - 2 * TIE_EPS
-            near, lb = search._distance_screen(lay, row, w, floor, np.inf)
+            near, lb = search._distance_screen(lay, row, w, j, np.inf, None)
             assert near[0] and lb[0] <= bound
-            near, _ = search._distance_screen(lay, row, w, floor, float(bound))
+            near, _ = search._distance_screen(lay, row, w, j, float(bound), None)
             assert near[0]
             checked += 1
     assert checked > 300
 
 
-def test_lazy_merge_is_exact_for_any_admissible_lower_bounds(monkeypatch):
-    """Lower bounds that equal the exact bound on some candidates and lie
-    below it on others, with many candidates tied on the bound: a head of
-    the heap that ties the next lower bound must wait for that block."""
+def test_the_cut_radius_holds_at_the_table_steps_with_an_unlowered_table(monkeypatch):
+    """With the table's 1/zeta not lowered, a key can sit an ulp under the
+    table's value at its own step, so the cut's radius is that step, and a
+    user at that distance in some direction can have a squared distance an
+    ulp over the step's square. The radius's own slack must keep every user
+    at or under the cut inside it: a cut at a user's key keeps the
+    candidate on that user's weight alone."""
     from droneplace import placement
 
-    monkeypatch.setattr(placement, "_SCREEN", 1)
-    sys = default_system(
-        bounds=AreaBounds(0.0, 1000.0, 0.0, 1000.0), h_max_m=200.0, backhaul_mbps=12.0
-    )
-    for mode in ("network_centric", "user_centric"):
-        search = PlacementSearch(lattice_users(mode), sys, URBAN)
-        w = np.array([u.weight for u in search.users])
-        R = sys.backhaul_mbps
-        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
-        screen = search._distance_screen
-
-        def mixed(lay, rows, w, floor, cut):
-            near, lb = screen(lay, rows, w, floor, cut)
-            exact = exact_bounds(search, lay, rows[near], w, floor)
-            return near, np.where(rows[near] % 2 == 0, exact, lb)
-
-        monkeypatch.setattr(search, "_distance_screen", mixed)
-        for lay in range(len(search.hs)):
-            for cut in cuts:
-                args = (lay, w, R, target, cut, sum_w, by_ratio)
-                assert list(search._contenders(*args)) == eager_contenders(search, *args)
+    monkeypatch.setattr(placement, "_TABLE_SLACK", 0.0)
+    sys = default_system()
+    hs = sorted({p.h_m for p in candidate_grid(sys)})
+    angles = np.linspace(0.0, np.pi / 2, 7)
+    users, _ = table_step_users(sys, hs, lambda d: zip(d * np.cos(angles), d * np.sin(angles)))
+    search = PlacementSearch(users, sys, URBAN, axes=([0.0], [0.0], hs))
+    row = np.array([0])
+    checked = 0
+    for lay in range(len(hs)):
+        key = search.bw_rows(lay, row)[0] / search.rates
+        for i in np.flatnonzero(search.eligible[lay][0]):
+            w = np.zeros(len(users))
+            w[i] = 1.0
+            assert search._distance_screen(lay, row, w, 1.0, float(key[i]), None)[0][0]
+            checked += 1
+    assert checked > 3000
 
 
 # ---------------------------------------------------------------------
@@ -787,15 +917,7 @@ def test_matches_an_enumeration_on_a_larger_grid():
     # 50 candidates over two altitudes and 30 users with a binding backhaul:
     # many candidates tie on the objective, so the margin stage's screens,
     # bounds and layer order all come into play
-    sys = default_system(
-        bounds=AreaBounds(0.0, 1200.0, 0.0, 1200.0),
-        grid_step_m=300.0,
-        h_max_m=400.0,
-        backhaul_mbps=6.0,
-    )
-    rng = np.random.default_rng(31)
-    for weighted in (False, True):
-        users = scattered_users(rng, 30, span=1200.0, weighted=weighted)
+    for sys, users in larger_grid_cases():
         got = optimal_placement(users, sys, URBAN)
         placement, objective, served = widest_margin_oracle(users, sys, solve=solve_bnb)
         assert got.objective == pytest.approx(objective, abs=1e-9)
