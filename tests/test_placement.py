@@ -511,46 +511,71 @@ def lattice_users(mode):
 LATTICE_GRID = dict(bounds=AreaBounds(0.0, 1000.0, 0.0, 1000.0), h_max_m=200.0, backhaul_mbps=12.0)
 
 
-@pytest.mark.parametrize("seed", [0, 4, 14, 25, 28, "lattice"])
+def assert_contenders_cover(search, lay, w, R, target, cut, sum_w, by_ratio, got):
+    """``got``, what ``_contenders`` yielded, is sorted by (bound,
+    candidate) and holds every candidate the exact keys keep, with a lower
+    bound at most its exact bound. Returns how many the exact keys keep."""
+    assert got == sorted(got)
+    lower = {cand: lb for lb, cand in got}
+    eager = eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio)
+    for bound, cand in eager:
+        assert lower[cand] <= bound
+    return len(eager)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 14, 25, 28])
 def test_contenders_cover_the_eager_order(seed):
     """Every candidate the exact keys keep comes out of ``_contenders``,
     with a lower bound at most its exact bound, and the list is sorted by
-    (bound, candidate). On the lattice, at two targets and more cuts: keys
-    an ulp apart, and candidates tied on the bound."""
-    modes = ("network_centric", "user_centric")
-    if seed == "lattice":
-        sys, env = default_system(**LATTICE_GRID), URBAN
-        populations = [lattice_users(mode) for mode in modes]
-    else:
-        cfg = load_config()
-        sys, env = cfg.system, cfg.environment
-        populations = [population(sys, cfg.cluster, cfg.rate_set_mbps, seed, mode)[0] for mode in modes]
+    (bound, candidate)."""
+    cfg = load_config()
+    R = cfg.system.backhaul_mbps
+    covered = 0
+    for mode in ("network_centric", "user_centric"):
+        users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
+        search = PlacementSearch(users, cfg.system, cfg.environment)
+        w = np.array([u.weight for u in users])
+        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
+        fill = screen_fill(search, w, R, target, by_ratio)
+        for lay in range(len(search.hs)):
+            for cut in cuts:
+                got = list(search._contenders(lay, w, target, float(cut), sum_w, fill))
+                covered += assert_contenders_cover(search, lay, w, R, target, float(cut), sum_w, by_ratio, got)
+    assert covered > 0
+
+
+@pytest.mark.parametrize("screen", [1, 3, 64])
+def test_lazy_contenders_match_the_eager_order_on_exact_ties(monkeypatch, screen):
+    """On the lattice, at two targets and more cuts (keys an ulp apart, and
+    candidates tied on the bound), screening the candidates in blocks of
+    ``screen`` yields the same contenders as one block does, and they cover
+    the eager order."""
+    from droneplace import placement
+
+    sys = default_system(**LATTICE_GRID)
     R = sys.backhaul_mbps
     covered = one_ulp = tied = 0
-    for users in populations:
-        search = PlacementSearch(users, sys, env)
+    for mode in ("network_centric", "user_centric"):
+        users = lattice_users(mode)
+        search = PlacementSearch(users, sys, URBAN)
         w = np.array([u.weight for u in users])
         target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
         for lay in range(len(search.hs)):
-            targets, more_cuts = (target,), ()
-            if seed == "lattice":
-                key = search.bw_rows(lay, np.arange(len(sum_w))) / search.rates
-                finite = np.unique(key[np.isfinite(key)])
-                one_ulp += int(np.sum(np.diff(finite) <= np.spacing(finite[1:])))
-                targets, more_cuts = (target, 4 * min(w)), np.quantile(finite, [0.25, 0.5, 1.0])
-            for t in targets:
+            key = search.bw_rows(lay, np.arange(len(sum_w))) / search.rates
+            finite = np.unique(key[np.isfinite(key)])
+            one_ulp += int(np.sum(np.diff(finite) <= np.spacing(finite[1:])))
+            for t in (target, 4 * min(w)):
                 fill = screen_fill(search, w, R, t, by_ratio)
-                for cut in (*cuts, *more_cuts):
-                    got = list(search._contenders(lay, w, t, float(cut), sum_w, fill))
-                    assert got == sorted(got)
-                    lower = {cand: lb for lb, cand in got}
-                    for bound, cand in eager_contenders(search, lay, w, R, t, float(cut), sum_w, by_ratio):
-                        assert lower[cand] <= bound
-                        covered += 1
+                for cut in (*cuts, *np.quantile(finite, [0.25, 0.5, 1.0])):
+                    args = (lay, w, t, float(cut), sum_w, fill)
+                    # small blocks put equal bounds on both sides of a block boundary
+                    monkeypatch.setattr(placement, "_CHUNK", screen)
+                    got = list(search._contenders(*args))
+                    monkeypatch.setattr(placement, "_CHUNK", len(sum_w))
+                    assert got == list(search._contenders(*args))
+                    covered += assert_contenders_cover(search, lay, w, R, t, float(cut), sum_w, by_ratio, got)
                     tied += sum(a[0] == b[0] for a, b in zip(got, got[1:]))
-    assert covered > 0
-    if seed == "lattice":
-        assert one_ulp > 0 and tied > 0
+    assert covered > 0 and one_ulp > 0 and tied > 0
 
 
 def exact_bounds(search, lay, rows, w, floor):
