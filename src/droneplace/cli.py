@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 runtime failure. Output
 files are written atomically (temp file + rename), so a failed run leaves
 no partial outputs behind. All outputs are deterministic for a given
-scenario config and seeds. --threads is accepted and validated for
-compatibility, but starts no threads: every search runs on the calling
-thread.
+scenario config and seeds, whatever --threads says. --threads N runs the
+independent points of sweep-backhaul ((seed, R) pairs), robustness and
+cdf (seeds) in up to N processes, never more than there are points or
+usable cores; gen-users and place run one process.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--mode", choices=MODES, help="shorthand for --set mode=...")
     common.add_argument("--seed", type=int, help="shorthand for --set seeds=[SEED]")
-    common.add_argument("--threads", type=int, help="accepted for compatibility; starts no threads")
+    common.add_argument(
+        "--threads", type=int,
+        help="worker processes for the points of sweep-backhaul, robustness and cdf",
+    )
     common.add_argument("--output-dir", metavar="DIR", help="where to write outputs")
     common.add_argument("--verbose", action="store_true", help="print extra diagnostics")
 
@@ -206,11 +210,9 @@ def _cmd_robustness(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
 
 
 def _cmd_cdf(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
-    served: dict[str, list[float]] = {mode: [] for mode in MODES}
-    for seed in cfg.seeds:
-        rates = served_rates(cfg.system, cfg.environment, cfg.cluster, cfg.rate_set_mbps, seed)
-        for mode in MODES:
-            served[mode].extend(rates[mode])
+    served = served_rates(
+        cfg.system, cfg.environment, cfg.cluster, cfg.rate_set_mbps, cfg.seeds, cfg.threads
+    )
     rows = []
     pooled: dict[str, list[float]] = {}
     for mode, rates in served.items():

@@ -3,14 +3,20 @@
 Each driver turns every seed of a list into weighted users
 (:func:`population`), places the drone with :meth:`PlacementSearch.place`
 and returns an ExperimentReport holding the raw per-seed values (long-format
-CSV) plus deterministic metadata for the JSON sidecar. Reports are
-byte-identical across thread counts and reruns; anything non-deterministic
-(wall clock) stays on the console.
+CSV) plus deterministic metadata for the JSON sidecar.
+
+A driver's points are independent: a (seed, R) pair of a backhaul sweep,
+a seed of the robustness analysis or of the rate CDF. ``threads`` spreads
+them over forked worker processes (:func:`_map_points`), which return
+their results keyed by point and are written in point order. Reports are
+thus byte-identical across thread counts and reruns; anything
+non-deterministic (wall clock) stays on the console.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,23 +121,100 @@ def population(sys: SystemParams, cluster: ClusterConfig, rate_set_mbps, seed, m
     return assign_weights(sample.users, mode), sample.resamples
 
 
-def served_rates(
-    sys: SystemParams, env: EnvironmentParams, cluster: ClusterConfig, rate_set_mbps, seed
-) -> dict[str, list[float]]:
-    """Required rates of the users each mode serves at seed ``seed``'s best placement.
+def _map_points(threads: int, seeds, prepare, per_seed: int, run) -> list:
+    """``run(prepare(seed), j)`` for every seed, then every ``j < per_seed``, in that order.
 
-    Positions, eligibility and link budgets do not depend on the mode, so
-    the seed is sampled once and one search places it for every mode.
+    Point k is (``seeds[k // per_seed]``, ``k % per_seed``). They run over
+    W = min(threads, points, usable cores) processes. With W = 1 each seed
+    is prepared just before its points run, in this process. Otherwise
+    this process prepares every seed first, so the forked children inherit
+    the geometry copy-on-write; point k goes to share k mod W, this
+    process runs share 0 itself and W - 1 children send theirs back over a
+    pipe. An exception in a child is raised here, and every child is
+    joined before this returns, whichever way it returns.
     """
-    users, _ = population(sys, cluster, rate_set_mbps, seed, MODES[0])
-    search = PlacementSearch(users, sys, env)
-    served = {}
-    for mode in MODES:
-        if mode != MODES[0]:
-            users = assign_weights(users, mode)
-        result = search.place(weights=[u.weight for u in users])
-        served[mode] = [u.rate_mbps for u in result.served(users)]
-    return served
+    n = len(seeds) * per_seed
+    workers = min(threads, n, len(os.sched_getaffinity(0)))
+    if workers == 1:
+        out = []
+        for seed in seeds:
+            state = prepare(seed)
+            out.extend(run(state, j) for j in range(per_seed))
+        return out
+
+    import multiprocessing
+
+    states = [prepare(seed) for seed in seeds]
+
+    def point(k):
+        si, j = divmod(k, per_seed)
+        return run(states[si], j)
+
+    def serve(share, conn):  # a child's body
+        try:
+            reply = (True, [point(k) for k in share])
+        except BaseException as e:  # re-raised by the parent
+            reply = (False, e)
+        conn.send(reply)
+
+    ctx = multiprocessing.get_context("fork")
+    out = [None] * n
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=serve, args=(range(w, n, workers), send), daemon=True)
+            proc.start()
+            send.close()
+            children.append((proc, recv))
+        out[0::workers] = [point(k) for k in range(0, n, workers)]
+        for w, (_, recv) in enumerate(children, 1):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                raise RuntimeError("a worker process exited without its results") from None
+            if not ok:
+                raise value
+            out[w::workers] = value
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            proc.join()
+            recv.close()
+    return out
+
+
+def served_rates(
+    sys: SystemParams, env: EnvironmentParams, cluster: ClusterConfig, rate_set_mbps,
+    seeds, threads: int = 1,
+) -> dict[str, list[float]]:
+    """Required rates of the users each mode serves at each seed's best placement.
+
+    Pooled over ``seeds`` in seed order, per mode. Positions, eligibility
+    and link budgets do not depend on the mode, so each seed is sampled
+    once and one search places it for every mode; a seed is one point of
+    :func:`_map_points`.
+    """
+
+    def prepare(seed):
+        users, _ = population(sys, cluster, rate_set_mbps, seed, MODES[0])
+        return users, PlacementSearch(users, sys, env)
+
+    def run(state, _):
+        users, search = state
+        served = {}
+        for mode in MODES:
+            if mode != MODES[0]:
+                users = assign_weights(users, mode)
+            result = search.place(weights=[u.weight for u in users])
+            served[mode] = [u.rate_mbps for u in result.served(users)]
+        return served
+
+    per_seed = _map_points(threads, seeds, prepare, 1, run)
+    return {mode: [r for served in per_seed for r in served[mode]] for mode in MODES}
 
 
 def backhaul_sweep(
@@ -145,32 +228,32 @@ def backhaul_sweep(
     """Optimal placement per seed at every backhaul capacity value.
 
     The per-scenario geometry is built once per seed and shared across R
-    values, and so are the link budgets each R value computes on demand.
-    Nothing else passes from one R value to the next: each point is what
-    ``place`` gives at that R. ``threads`` is accepted for compatibility
-    and starts no threads.
+    values, and so are the link budgets each R value computes on demand
+    within one process. Nothing else passes from one R value to the next:
+    each point is what ``place`` gives at that R. A (seed, R) pair is one
+    point of :func:`_map_points`, so ``threads`` splits even a one-seed
+    sweep.
     """
-    n_x = len(spec.backhaul_values_mbps)
-    metrics = {
-        name: np.zeros((len(spec.seeds), n_x))
-        for name in ("served_count", "objective", "rate_used_mbps", "bandwidth_used_mhz")
-    }
+    names = ("served_count", "objective", "rate_used_mbps", "bandwidth_used_mhz")
     resamples = []
-    for si, seed in enumerate(spec.seeds):
+
+    def prepare(seed):
         users, n_resamples = population(sys, cluster, rate_set_mbps, seed, spec.mode)
         resamples.append(n_resamples)
-        search = PlacementSearch(users, sys, env)
-        for xi in range(n_x):
-            res = search.place(spec.backhaul_values_mbps[xi])
-            metrics["served_count"][si, xi] = res.served_count
-            metrics["objective"][si, xi] = res.objective
-            metrics["rate_used_mbps"][si, xi] = res.rate_used_mbps
-            metrics["bandwidth_used_mhz"][si, xi] = res.bandwidth_used_mhz
+        return PlacementSearch(users, sys, env)
+
+    def run(search, xi):
+        res = search.place(spec.backhaul_values_mbps[xi])
+        return [getattr(res, name) for name in names]
+
+    n_x = len(spec.backhaul_values_mbps)
+    cells = np.array(_map_points(threads, spec.seeds, prepare, n_x, run), dtype=float)
+    cells = cells.reshape(len(spec.seeds), n_x, len(names))
     return ExperimentReport(
         x_name="backhaul_mbps",
         x_values=[float(v) for v in spec.backhaul_values_mbps],
         seeds=list(spec.seeds),
-        metrics=metrics,
+        metrics={name: cells[:, :, i].copy() for i, name in enumerate(names)},
         metadata={"mode": spec.mode, "resamples": resamples},
     )
 
@@ -195,21 +278,25 @@ def robustness_eval(
     needs are recomputed at their new positions and, if the spectrum budget
     is violated, the largest consumers are dropped until it holds again
     (counted separately as resource drops). Dropped plus remaining equals the
-    original served count exactly. ``threads`` is accepted for compatibility
-    and starts no threads.
+    original served count exactly. A seed is one point of
+    :func:`_map_points`.
     """
-    n_x = len(spec.displacement_values_m)
     names = ("remaining_served", "dropped_pct", "dropped_pathloss", "dropped_resource")
-    metrics = {name: np.zeros((len(spec.seeds), n_x)) for name in names}
     resamples = []
-    for si, seed in enumerate(spec.seeds):
+
+    def prepare(seed):
         users, n_resamples = population(sys, cluster, rate_set_mbps, seed, spec.mode)
         resamples.append(n_resamples)
-        result = PlacementSearch(users, sys, env).place()
+        return seed, users, PlacementSearch(users, sys, env)
+
+    def run(state, _):
+        seed, users, search = state
+        result = search.place()
         served_idx = np.flatnonzero(np.array(result.selected))
         n_served = len(served_idx)
         if n_served == 0:
             raise RuntimeError("optimal placement served no users; robustness undefined")
+        rows = []
         for xi, delta in enumerate(spec.displacement_values_m):
             if delta == 0:
                 moved = users
@@ -233,15 +320,16 @@ def robustness_eval(
                 dropped_res += 1
             remaining = int(np.sum(keep))
             assert remaining + dropped_pl + dropped_res == n_served
-            metrics["remaining_served"][si, xi] = remaining
-            metrics["dropped_pct"][si, xi] = 100.0 * (n_served - remaining) / n_served
-            metrics["dropped_pathloss"][si, xi] = dropped_pl
-            metrics["dropped_resource"][si, xi] = dropped_res
+            dropped_pct = 100.0 * (n_served - remaining) / n_served
+            rows.append((remaining, dropped_pct, dropped_pl, dropped_res))
+        return rows
+
+    cells = np.array(_map_points(threads, spec.seeds, prepare, 1, run), dtype=float)
     return ExperimentReport(
         x_name="displacement_m",
         x_values=[float(v) for v in spec.displacement_values_m],
         seeds=list(spec.seeds),
-        metrics=metrics,
+        metrics={name: cells[:, :, i].copy() for i, name in enumerate(names)},
         metadata={"mode": spec.mode, "resamples": resamples},
     )
 

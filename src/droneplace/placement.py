@@ -26,8 +26,9 @@ bound of all users together, cannot; with user-centric weights that is
 usually right after the first solve. Pruning never changes the maximum,
 and the scan's order cannot change the result: a margin stage then applies
 steps 2 and 3 over every candidate, reading only the maximum from the
-scan. Both run on the calling thread; the ``threads`` arguments of the
-public entry points start no threads.
+scan. Both run on the calling thread. One search is one point of the
+experiment drivers, which spread their points over processes; a single
+placement starts none.
 
 Pathloss rises strictly with horizontal distance, so one table per
 altitude layer, of pathloss at evenly spaced horizontal distances, serves
@@ -759,6 +760,7 @@ def optimal_placement(
     Deterministic: the maximum objective, then the widest worst-case
     pathloss margin of the served set, then the first candidate in grid
     order (see the module docstring). ``threads`` is accepted for
-    compatibility; the search runs on the calling thread.
+    compatibility: a single placement is one point, so no process is
+    started and the search runs on the calling thread.
     """
     return PlacementSearch(users, sys, env).place()

@@ -20,3 +20,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture()
+def forked(monkeypatch):
+    """Eight usable cores whatever the machine has; lists the worker processes started.
+
+    The drivers cap their workers at the usable cores, so without the patch
+    a one-core machine would never take the multi-process path.
+    """
+    import os
+    from multiprocessing.context import ForkProcess
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    started = []
+    start = ForkProcess.start
+
+    def spy(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(ForkProcess, "start", spy)
+    return started

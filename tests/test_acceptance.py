@@ -291,8 +291,8 @@ def test_criterion_8_cluster_process_statistics(defaults, criterion):
 
 
 def test_criterion_9_outputs_identical_across_reruns_and_threads(tmp_path, criterion):
-    # densify the small grid past one scheduler chunk so 8 threads genuinely
-    # split the scan and the cross-thread reduction is exercised
+    # a denser small grid, so every search has real work; at 8 threads the
+    # drivers' points are spread over as many processes as there are cores
     cfg_path = tmp_path / "small.json"
     cfg_path.write_text(json.dumps({**SMALL, "grid_step_m": 50.0}))
     differing = []

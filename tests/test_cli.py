@@ -254,6 +254,22 @@ def test_runtime_errors_exit_3_and_leave_no_partial_files(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("seeds", ["[1,0]", "[0,1]"], ids=["in_a_child", "in_the_parent"])
+def test_a_failing_worker_exits_3_and_leaves_no_process(tmp_path, small_cfg, forked, capsys, seeds):
+    # at pl_max_db = 80 dB seed 1 serves one user and seed 0 nobody, which
+    # robustness rejects; with 2 workers the second seed runs in the child
+    import multiprocessing
+
+    out = tmp_path / "out"
+    code = run_cli("robustness", "--config", small_cfg, "--threads", "2",
+                   "--set", "pl_max_db=80", "--set", f"seeds={seeds}", "--output-dir", str(out))
+    assert code == 3
+    assert "served no users" in capsys.readouterr().err
+    assert os.listdir(out) == []
+    assert len(forked) == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")

@@ -1,5 +1,7 @@
 """Experiment drivers: CDF helper, backhaul sweep, displacement robustness."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from droneplace.experiments import (
     backhaul_sweep,
     rate_cdf_from_rates,
     robustness_eval,
+    served_rates,
     write_report_csv,
     write_report_metadata,
 )
@@ -223,6 +226,45 @@ def test_same_seed_reuses_the_same_population():
     b = robustness_report()
     for name in a.metrics:
         assert np.array_equal(a.metrics[name], b.metrics[name])
+
+
+# ---------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------
+
+
+def report_bytes(report):
+    return {name: values.tobytes() for name, values in report.metrics.items()}, report.metadata
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_drivers_are_identical_across_worker_processes(forked, workers):
+    # 3 seeds x 4 R values split unevenly over every worker count; the
+    # robustness and CDF drivers have 3 points, fewer than 5 workers
+    spec = RobustnessSpec(displacement_values_m=(0.0, 50.0, 150.0), seeds=(0, 1, 2))
+    runs = [
+        (12, lambda threads: report_bytes(sweep_report(threads=threads))),
+        (3, lambda threads: report_bytes(
+            robustness_eval(spec, small_system(), URBAN, CLUSTER, RATES, threads=threads))),
+        (3, lambda threads: served_rates(
+            small_system(), URBAN, CLUSTER, RATES, (0, 1, 2), threads=threads)),
+    ]
+    for points, run in runs:
+        lone = run(1)
+        assert forked == []
+        assert run(workers) == lone
+        assert len(forked) == min(workers, points) - 1
+        assert all(proc.exitcode == 0 for proc in forked)
+        assert multiprocessing.active_children() == []
+        forked.clear()
+
+
+def test_served_rates_pool_the_seeds_in_order():
+    pooled = served_rates(small_system(), URBAN, CLUSTER, RATES, (2, 0))
+    parts = [served_rates(small_system(), URBAN, CLUSTER, RATES, (seed,)) for seed in (2, 0)]
+    for mode, rates in pooled.items():
+        assert rates == parts[0][mode] + parts[1][mode]
+        assert len(rates) > 0
 
 
 # ---------------------------------------------------------------------

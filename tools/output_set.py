@@ -10,12 +10,17 @@ script), and writes under OUTDIR:
 - ``sweep_threads1/`` and ``sweep_threads2/``: network-centric
   ``sweep-backhaul`` for seeds 0 and 1, one seed per invocation, at
   ``--threads`` 1 and 2;
-- ``sweep_default/``: one network-centric ``sweep-backhaul`` over the
-  default 20 seeds, whose heaviest B&B instances (seeds 4 and 14) the
-  two-seed sweeps never reach;
-- ``robustness_network_centric/`` and ``robustness_user_centric/``:
+- ``sweep_default_threads1/`` and ``sweep_default_threads2/``: one
+  network-centric ``sweep-backhaul`` over the default 20 seeds, whose
+  heaviest B&B instances (seeds 4 and 14) the two-seed sweeps never reach;
+- ``robustness_network_centric_threads1/``,
+  ``robustness_user_centric_threads1/`` and their ``_threads2`` twins:
   ``robustness`` on the default seeds;
-- ``cdf/``: ``cdf`` on the default seeds (it runs both modes).
+- ``cdf_threads1/`` and ``cdf_threads2/``: ``cdf`` on the default seeds
+  (it runs both modes).
+
+Each ``_threads2`` directory must equal its ``_threads1`` twin byte for
+byte, since ``--threads`` only spreads a driver's points over processes.
 
 A change that must leave results alone is checked by writing the set for
 both source trees and comparing them with ``diff -r``. An older commit's
@@ -51,10 +56,14 @@ def invocations(out: Path):
         for seed in SWEEP_SEEDS:
             yield ["sweep-backhaul", "--mode", "network_centric", "--seed", str(seed),
                    "--threads", str(threads), "--output-dir", str(out / f"sweep_threads{threads}")]
-    yield ["sweep-backhaul", "--mode", "network_centric", "--output-dir", str(out / "sweep_default")]
-    for mode in ("network_centric", "user_centric"):
-        yield ["robustness", "--mode", mode, "--output-dir", str(out / f"robustness_{mode}")]
-    yield ["cdf", "--output-dir", str(out / "cdf")]
+    for threads in (1, 2):
+        tail = ["--threads", str(threads)]
+        yield ["sweep-backhaul", "--mode", "network_centric", *tail,
+               "--output-dir", str(out / f"sweep_default_threads{threads}")]
+        for mode in ("network_centric", "user_centric"):
+            yield ["robustness", "--mode", mode, *tail,
+                   "--output-dir", str(out / f"robustness_{mode}_threads{threads}")]
+        yield ["cdf", *tail, "--output-dir", str(out / f"cdf_threads{threads}")]
 
 
 def main(argv=None) -> int:
