@@ -305,6 +305,7 @@ class PlacementSearch:
         self._filled = [0 for _ in self.hs]
         self.rows_computed = 0
         self.links_computed = 0
+        self._sum_w = (None, None)  # (weights as bytes, their _weight_sums)
 
     def bw_rows(self, lay: int, rows) -> np.ndarray:
         """Bandwidth need of grid rows ``rows`` on layer ``lay``, (len(rows), n) MHz.
@@ -364,7 +365,10 @@ class PlacementSearch:
         """
         w = np.asarray(weights, dtype=float)
         R = float(backhaul_mbps)
-        sum_w = self._weight_sums(w)
+        # a sweep solves one weighting at many R values: its sums are kept
+        if self._sum_w[0] != w.tobytes():
+            self._sum_w = (w.tobytes(), self._weight_sums(w))
+        sum_w = self._sum_w[1]
         by_ratio = _ratio_order(w, self.rates)
         target = self._scan(w, R, sum_w, by_ratio)
         return self._widest_margin(target, w, R, sum_w, by_ratio)
@@ -752,15 +756,11 @@ def evaluate_position(users, placement: Placement, sys: SystemParams, env) -> Se
     )
 
 
-def optimal_placement(
-    users, sys: SystemParams, env: EnvironmentParams, threads: int = 1
-) -> PlacementResult:
+def optimal_placement(users, sys: SystemParams, env: EnvironmentParams) -> PlacementResult:
     """Best placement over the whole candidate grid.
 
     Deterministic: the maximum objective, then the widest worst-case
     pathloss margin of the served set, then the first candidate in grid
-    order (see the module docstring). ``threads`` is accepted for
-    compatibility: a single placement is one point, so no process is
-    started and the search runs on the calling thread.
+    order (see the module docstring). The search runs on the calling thread.
     """
     return PlacementSearch(users, sys, env).place()

@@ -3,7 +3,8 @@
 Given per-user weights, required rates and required bandwidths, pick the
 0/1 subset maximizing total weight subject to two knapsack constraints
 (sum of rates <= backhaul capacity, sum of bandwidths <= spectrum). Solved
-exactly by depth-first branch and bound; a full-enumeration solver is kept
+exactly by one depth-first branch-and-bound pass, with same-class dominance
+among users of equal weight and rate; a full-enumeration solver is kept
 alongside as an independent oracle for tests.
 
 Quantities are expected in Mbps / MHz so magnitudes sit near 1 and the
@@ -16,7 +17,8 @@ lexicographically preferred indicator vector: scanning user indices
 ascending, inclusion wins at the first difference. The branch-and-bound
 visits complete solutions exactly in that preference order (index-order
 branching, include-before-exclude), so its first incumbent at the optimal
-value is the tie-break winner and tie subtrees can be pruned. The oracle
+value is the tie-break winner and tie subtrees can be pruned; dominance
+skips only selections beaten by an earlier one of equal value. The oracle
 applies the same rule explicitly. Agreement of the two solvers assumes
 genuine objective gaps are large against TIE_EPS (weights on a 0.1 grid
 give gaps >= ~0.1; TIE_EPS is 1e-9).
@@ -436,19 +438,32 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
     and, for sum-rate weights, an exact subset-sum reachability bound),
     floored to the weight grid when one exists.
 
-    The search runs as threshold passes descending from the rounded root
-    relaxation to just below the greedy value (an aspiration ladder). A pass
-    at threshold t returns the lexicographically-first selection worth more
-    than t, or nothing; passes above the optimum terminate almost
-    immediately since the root bound itself prunes, while the pass just
-    below it enjoys both maximal bound pruning and maximal reduced-cost
-    fixing — every item whose flip bound rounds down to t or less is frozen
-    before the descent, so only the genuinely ambiguous band is searched.
+    One pass seeks the lexicographically first optimum among selections
+    worth more than a threshold t: just below the greedy value, which is
+    always attainable (one grid step, or a relative 1e-6 off the grid), or
+    ``prune_below`` when that is higher; the solve then returns None when
+    nothing clears it. Every item whose reduced-cost flip bound
+    (:class:`_FlipBounds`) rounds down to t or less is fixed beforehand.
 
-    ``prune_below`` raises the floor of the ladder: values at or below it
-    are of no interest to the caller, and the solve may return None instead
-    of a result when nothing clears the floor. The default floor is below
-    the greedy value, which is always attainable, so a result is guaranteed.
+    Same-class dominance: a user's weight depends only on its rate in both
+    weightings, so users of one class, an exact (weight, rate) pair,
+    differ only in bandwidth need. If free users i < j share a class and
+    b_i <= b_j, a selection that excludes i and includes j loses to its
+    swap: feasible, worth the same, lexicographically earlier (Martello
+    and Toth, *Knapsack Problems*, 1990). So the DFS keeps per class the
+    least bandwidth excluded on its path, and skips user k's include
+    branch when that is <= b_k. The result stays the same because:
+
+    - fixed users are shared by both selections and the free ones keep
+      index order, so the swap is earlier over the whole instance too;
+    - the swap's sums, in another order, move by ulps, far under
+      ``_SEARCH_EPS``: the slack on which this search and
+      :func:`solve_brute_force` already agree;
+    - the whole-suffix shortcut may take a dominated user, harmlessly: the
+      swap lies on i's include branch, searched first, so ``consider``
+      rejects the equal value;
+    - a class with nothing excluded holds None, not ``inf``, so an
+      ``inf`` need under an infinite cap skips nothing.
 
     When every user fits within both caps (up to ``_SEARCH_EPS``), selecting
     all of them is the unique optimum: it is returned at once, with 0 nodes
@@ -470,126 +485,108 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
 
     q = _value_grid(w0)
     g = _greedy_value(w0, r0, b0, R, B)
-    threshold = max(g - (q if q else 1e-6 * max(1.0, abs(g))), prune_below)
-    flip = _FlipBounds(w0, r0, b0, R, B)
-    if sys.getrecursionlimit() < len(idx) + 1000:
-        sys.setrecursionlimit(len(idx) + 1000)  # DFS depth is at most len(idx)
+    t = max(g - (q if q else 1e-6 * max(1.0, abs(g))), prune_below)
+    fixed_in, free = _FlipBounds(w0, r0, b0, R, B).fix(t, q)
+    base = float(np.sum(w0[fixed_in]))
+    in_r = float(np.sum(r0[fixed_in]))
+    in_b = float(np.sum(b0[fixed_in]))
+    if in_r > R + _SEARCH_EPS or in_b > B + _SEARCH_EPS:
+        # every selection worth more than t holds the forced set, so there is
+        # none: reachable when a raised floor puts t above the optimum, where
+        # the flip certificates hold vacuously
+        return None
+    w, r, b = w0[free], r0[free], b0[free]
+    free_idx = np.flatnonzero(free)
+    m = len(w)
+    full_mask[idx[fixed_in]] = True
+    if m == 0:  # everything forced: the lone candidate wins iff it clears t
+        return _finalize(inst, full_mask, nodes=0) if base > t + TIE_EPS else None
+    Rp = max(R - in_r, 0.0)
+    Bp = max(B - in_b, 0.0)
+    if sys.getrecursionlimit() < m + 1000:
+        sys.setrecursionlimit(m + 1000)  # DFS depth is at most m
+
+    rate_bounds = _SuffixBounds(w, r)
+    bw_bounds = _SuffixBounds(w, b)
+    # sum-rate weighting: swap in the exact grid-reachability rate bound
+    reach = _ReachableSums.build(r, Rp, _value_grid(r)) if np.array_equal(w, r) else None
+    rate_grid = _value_grid(r) if reach is not None else None
+    surr_mu = _pick_surrogate_mu(w, r, b, Rp, Bp)
+    surr_bounds = _SuffixBounds(w, r + surr_mu * b) if surr_mu is not None else None
+    # scalars touched every node live in plain lists / bound methods;
+    # numpy element access is several times costlier at this grain
+    suffix_rate_sum = np.concatenate([np.cumsum(r[::-1])[::-1], [0.0]]).tolist()
+    suffix_bw_sum = np.concatenate([np.cumsum(b[::-1])[::-1], [0.0]]).tolist()
+    suffix_w_sum = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]]).tolist()
+    w_l, r_l, b_l = w.tolist(), r.tolist(), b.tolist()
+    rate_bound = rate_bounds.bound
+    bw_bound = bw_bounds.bound
+    surr_bound = surr_bounds.bound if surr_bounds is not None else None
+    # same-class dominance: a class id per (weight, rate) pair, and per class
+    # the least bandwidth excluded on the current path (None: none excluded)
+    classes: dict = {}
+    cls = [classes.setdefault(pair, len(classes)) for pair in zip(w_l, r_l)]
+    least_out: list = [None] * len(classes)
+
+    def prune_cut(v: float) -> float:
+        # subtrees with ub < cut cannot beat incumbent v:
+        # ub < cut  <=>  grid_floor(ub) <= v + TIE_EPS
+        if q:
+            return q * (math.floor((v + TIE_EPS) / q) + 1.0 - 1e-9)
+        return v + TIE_EPS
+
+    best_val = t - base
+    best_sel: np.ndarray | None = None
+    cut = prune_cut(best_val)
+    cur = np.zeros(m, dtype=bool)
     nodes = 0
 
-    def run_pass(t: float) -> np.ndarray | None:
-        """Lex-first selection with value > t over the fitting items, or None."""
+    def consider(value: float, sel: np.ndarray) -> None:
+        nonlocal best_val, best_sel, cut
+        if value > best_val + TIE_EPS:
+            best_val = value
+            best_sel = sel
+            cut = prune_cut(best_val)
+
+    def dfs(k: int, r_rem: float, b_rem: float, value: float) -> None:
         nonlocal nodes
-        fixed_in, free = flip.fix(t, q)
-        base = float(np.sum(w0[fixed_in]))
-        in_r = float(np.sum(r0[fixed_in]))
-        in_b = float(np.sum(b0[fixed_in]))
-        if in_r > R + _SEARCH_EPS or in_b > B + _SEARCH_EPS:
-            # Every feasible selection worth more than t must contain the
-            # whole forced set; if that set already violates a cap, no such
-            # selection exists. Reachable when t is above the true optimum:
-            # the per-item certificates are then vacuously true and fixing
-            # may force a mutually infeasible set.
-            return None
-        w, r, b = w0[free], r0[free], b0[free]
-        free_idx = np.flatnonzero(free)
-        m = len(w)
-        if m == 0:
-            # everything forced: the lone candidate wins iff it clears t
-            return fixed_in if base > t + TIE_EPS else None
-        Rp = max(R - in_r, 0.0)
-        Bp = max(B - in_b, 0.0)
-
-        rate_bounds = _SuffixBounds(w, r)
-        bw_bounds = _SuffixBounds(w, b)
-        # sum-rate weighting: swap in the exact grid-reachability rate bound
-        reach = _ReachableSums.build(r, Rp, _value_grid(r)) if np.array_equal(w, r) else None
-        rate_grid = _value_grid(r) if reach is not None else None
-        surr_mu = _pick_surrogate_mu(w, r, b, Rp, Bp)
-        surr_bounds = _SuffixBounds(w, r + surr_mu * b) if surr_mu is not None else None
-        # scalars touched every node live in plain lists / bound methods;
-        # numpy element access is several times costlier at this grain
-        suffix_rate_sum = np.concatenate([np.cumsum(r[::-1])[::-1], [0.0]]).tolist()
-        suffix_bw_sum = np.concatenate([np.cumsum(b[::-1])[::-1], [0.0]]).tolist()
-        suffix_w_sum = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]]).tolist()
-        w_l, r_l, b_l = w.tolist(), r.tolist(), b.tolist()
-        rate_bound = rate_bounds.bound
-        bw_bound = bw_bounds.bound
-        surr_bound = surr_bounds.bound if surr_bounds is not None else None
-
-        def prune_cut(v: float) -> float:
-            # subtrees with ub < cut cannot beat incumbent v:
-            # ub < cut  <=>  grid_floor(ub) <= v + TIE_EPS
-            if q:
-                return q * (math.floor((v + TIE_EPS) / q) + 1.0 - 1e-9)
-            return v + TIE_EPS
-
-        best_val = t - base
-        best_sel: np.ndarray | None = None
-        cut = prune_cut(best_val)
-        cur = np.zeros(m, dtype=bool)
-
-        def consider(value: float, sel: np.ndarray) -> None:
-            nonlocal best_val, best_sel, cut
-            if value > best_val + TIE_EPS:
-                best_val = value
-                best_sel = sel
-                cut = prune_cut(best_val)
-
-        def dfs(k: int, r_rem: float, b_rem: float, value: float) -> None:
-            nonlocal nodes
-            nodes += 1
-            if suffix_rate_sum[k] <= r_rem + _SEARCH_EPS and suffix_bw_sum[k] <= b_rem + _SEARCH_EPS:
-                # whole suffix fits: taking all of it is both value- and lex-optimal
-                sel = cur.copy()
-                sel[k:] = True
-                consider(value + suffix_w_sum[k], sel)
-                return
-            if reach is not None:
-                ru = int((r_rem + _SEARCH_EPS) / rate_grid)
-                rate_ub = rate_grid * reach.max_reachable(k, ru)
-            else:
-                rate_ub = rate_bound(k, r_rem)
-            ub = value + min(rate_ub, bw_bound(k, b_rem))
+        nodes += 1
+        if suffix_rate_sum[k] <= r_rem + _SEARCH_EPS and suffix_bw_sum[k] <= b_rem + _SEARCH_EPS:
+            # whole suffix fits: taking all of it is both value- and lex-optimal
+            sel = cur.copy()
+            sel[k:] = True
+            consider(value + suffix_w_sum[k], sel)
+            return
+        if reach is not None:
+            ru = int((r_rem + _SEARCH_EPS) / rate_grid)
+            rate_ub = rate_grid * reach.max_reachable(k, ru)
+        else:
+            rate_ub = rate_bound(k, r_rem)
+        ub = value + min(rate_ub, bw_bound(k, b_rem))
+        if ub < cut:
+            return
+        if surr_bound is not None:
+            # only consulted when the cheap pure bounds failed to prune
+            mixed = value + surr_bound(k, r_rem + surr_mu * b_rem)
+            if mixed < ub:
+                ub = mixed
             if ub < cut:
                 return
-            if surr_bound is not None:
-                # only consulted when the cheap pure bounds failed to prune
-                mixed = value + surr_bound(k, r_rem + surr_mu * b_rem)
-                if mixed < ub:
-                    ub = mixed
-                if ub < cut:
-                    return
-            rk, bk = r_l[k], b_l[k]
-            if rk <= r_rem + _SEARCH_EPS and bk <= b_rem + _SEARCH_EPS:
-                cur[k] = True
-                dfs(k + 1, r_rem - rk, b_rem - bk, value + w_l[k])
-                cur[k] = False
-            dfs(k + 1, r_rem, b_rem, value)
+        rk, bk, ck = r_l[k], b_l[k], cls[k]
+        least = least_out[ck]
+        if rk <= r_rem + _SEARCH_EPS and bk <= b_rem + _SEARCH_EPS and (least is None or least > bk):
+            cur[k] = True
+            dfs(k + 1, r_rem - rk, b_rem - bk, value + w_l[k])
+            cur[k] = False
+        least_out[ck] = bk if least is None or bk < least else least
+        dfs(k + 1, r_rem, b_rem, value)
+        least_out[ck] = least
 
-        dfs(0, Rp, Bp, 0.0)
-        if best_sel is None:
-            return None
-        out = fixed_in.copy()
-        out[free_idx[best_sel]] = True
-        return out
-
-    ladder: list[float] = []
-    if q:
-        t = float(_grid_floor(flip.root, q)) - q  # a Python float: compared at every node
-        while len(ladder) < 3 and t > threshold + TIE_EPS:
-            ladder.append(t)
-            t -= q
-    ladder.append(threshold)  # the safe rung: the greedy value is attainable
-    sel_mask = None
-    for t in ladder:
-        sel_mask = run_pass(t)
-        if sel_mask is not None:
-            break
-
-    if sel_mask is None:
+    dfs(0, Rp, Bp, 0.0)
+    if best_sel is None:
         # only reachable with a raised floor: the default threshold sits
         # strictly below the feasible greedy value, which the search finds
         assert prune_below > -math.inf
         return None
-    full_mask[idx[sel_mask]] = True
+    full_mask[idx[free_idx[best_sel]]] = True
     return _finalize(inst, full_mask, nodes=nodes)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from droneplace.selection import (
+    TIE_EPS,
     SelectionInstance,
     _fill,
     _FlipBounds,
@@ -147,6 +148,44 @@ def test_matches_brute_force_with_messy_weights():
         want = solve_brute_force(problem)
         assert got.objective == pytest.approx(want.objective, abs=1e-9), f"trial {trial}"
         assert got.selected == want.selected, f"trial {trial}"
+
+
+def class_heavy_instance(rng, user_centric):
+    """Few rate classes with many users each, in one of the two weightings.
+
+    Bandwidth needs repeat, sit one ulp or 1e-7 apart or are 0, so
+    same-class dominance meets ties, near-ties within the solvers'
+    feasibility slack and small genuine gaps; both caps are exact subset
+    sums.
+    """
+    n = int(rng.integers(6, 17))
+    classes = rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], size=int(rng.integers(1, 4)), replace=False)
+    rates = rng.choice(classes, size=n)
+    needs = rng.choice(rng.uniform(0.05, 0.3, size=int(rng.integers(1, 4))), size=n)
+    kind = rng.integers(0, 4, size=n)
+    bws = np.choose(kind, [needs, np.nextafter(needs, 1.0), needs + 1e-7, np.zeros(n)])
+    weights = rates.copy() if user_centric else np.ones(n)
+    R = float(np.sum(rates[rng.random(n) < 0.5]))
+    B = float(np.sum(bws[rng.random(n) < 0.5]))
+    return inst(weights, rates, bws, R, B)
+
+
+def test_matches_brute_force_under_heavy_class_repetition():
+    """Same-class dominance keeps the lexicographically first optimum, with
+    and without a floor: just under the optimum the same selection comes
+    back, and at or above it none does."""
+    rng = np.random.default_rng(37)
+    for trial in range(400):
+        problem = class_heavy_instance(rng, user_centric=trial % 2 == 1)
+        want = solve_brute_force(problem)
+        got = solve_bnb(problem)
+        assert (got.selected, got.objective) == (want.selected, want.objective), f"trial {trial}"
+        if got.nodes_explored == 0 or want.objective == 0.0:
+            continue  # everyone or no one fits: settled before any floor applies
+        below = solve_bnb(problem, prune_below=want.objective - 2 * TIE_EPS)
+        assert below.selected == want.selected, f"trial {trial}"
+        assert solve_bnb(problem, prune_below=want.objective) is None, f"trial {trial}"
+        assert solve_bnb(problem, prune_below=want.objective + 1.0) is None, f"trial {trial}"
 
 
 def test_returned_selection_is_feasible():

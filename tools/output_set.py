@@ -10,9 +10,12 @@ script), and writes under OUTDIR:
 - ``sweep_threads1/`` and ``sweep_threads2/``: network-centric
   ``sweep-backhaul`` for seeds 0 and 1, one seed per invocation, at
   ``--threads`` 1 and 2;
-- ``sweep_default_threads1/`` and ``sweep_default_threads2/``: one
-  network-centric ``sweep-backhaul`` over the default 20 seeds, whose
-  heaviest B&B instances (seeds 4 and 14) the two-seed sweeps never reach;
+- ``sweep_default_network_centric_threads1/``,
+  ``sweep_default_user_centric_threads1/`` and their ``_threads2`` twins:
+  ``sweep-backhaul`` over the default 20 seeds in each mode. The
+  network-centric one holds the heaviest B&B instances (seeds 4 and 14),
+  which the two-seed sweeps never reach; the user-centric one runs the
+  reachable-sum bound and same-class dominance together;
 - ``robustness_network_centric_threads1/``,
   ``robustness_user_centric_threads1/`` and their ``_threads2`` twins:
   ``robustness`` on the default seeds;
@@ -58,9 +61,9 @@ def invocations(out: Path):
                    "--threads", str(threads), "--output-dir", str(out / f"sweep_threads{threads}")]
     for threads in (1, 2):
         tail = ["--threads", str(threads)]
-        yield ["sweep-backhaul", "--mode", "network_centric", *tail,
-               "--output-dir", str(out / f"sweep_default_threads{threads}")]
         for mode in ("network_centric", "user_centric"):
+            yield ["sweep-backhaul", "--mode", mode, *tail,
+                   "--output-dir", str(out / f"sweep_default_{mode}_threads{threads}")]
             yield ["robustness", "--mode", mode, *tail,
                    "--output-dir", str(out / f"robustness_{mode}_threads{threads}")]
         yield ["cdf", *tail, "--output-dir", str(out / f"cdf_threads{threads}")]
