@@ -20,15 +20,20 @@ A best-first grid scan finds the maximum objective: candidates go by
 eligible weight sum, highest first. The heaviest is solved on its own, and
 the rest are screened in blocks against that incumbent by an admissible
 upper bound (the fractional-relaxation bound, floored to the weight grid);
-only a candidate whose bound can beat the incumbent is solved exactly. The
-scan stops at the first whose weight sum, capped by the backhaul-side
-bound of all users together, cannot; with user-centric weights that is
-usually right after the first solve. Pruning never changes the maximum,
-and the scan's order cannot change the result: a margin stage then applies
-steps 2 and 3 over every candidate, reading only the maximum from the
-scan. Both run on the calling thread. One search is one point of the
-experiment drivers, which spread their points over processes; a single
-placement starts none.
+only a candidate whose bound can beat the incumbent is solved exactly, for
+its value alone (:func:`~droneplace.selection.solve_value`). In both of
+the paper's weightings users of one required rate weigh alike, so the
+backhaul-side bounds read each candidate's eligible users per rate class,
+counted with the geometry, instead of the users themselves. The scan
+stops at the first whose weight sum, capped by the backhaul-side bound of
+all users together, cannot; with user-centric weights that is usually
+right after the first solve. Pruning never changes the maximum, and the
+scan's order cannot change the result: a margin stage then applies steps 2
+and 3 over every candidate, reading only the maximum from the scan, and
+builds the winner's served set with one
+:func:`~droneplace.selection.solve_bnb` call. Both run on the calling
+thread. One search is one point of the experiment drivers, which spread
+their points over processes; a single placement starts none.
 
 Pathloss rises strictly with horizontal distance, so one table per
 altitude layer, of pathloss at evenly spaced horizontal distances, serves
@@ -52,6 +57,7 @@ import numpy as np
 
 from .channel import EnvironmentParams, pathloss_db, spectral_efficiency
 from .selection import (
+    MAX_CLASSES,
     TIE_EPS,
     SelectionInstance,
     SelectionResult,
@@ -61,6 +67,7 @@ from .selection import (
     _ratio_order,
     _value_grid,
     solve_bnb,
+    solve_value,
 )
 from .users import AreaBounds
 
@@ -113,10 +120,10 @@ class SystemParams:
     def __post_init__(self):
         if self.carrier_hz <= 0 or self.tx_power_w <= 0:
             raise ValueError("carrier_hz and tx_power_w must be positive")
-        if self.bandwidth_mhz <= 0:
-            raise ValueError("bandwidth_mhz must be positive")
-        if self.backhaul_mbps < 0:
-            raise ValueError("backhaul_mbps must be non-negative")
+        if not 0 < self.bandwidth_mhz < math.inf:
+            raise ValueError("bandwidth_mhz must be positive and finite")
+        if not 0 <= self.backhaul_mbps < math.inf:
+            raise ValueError("backhaul_mbps must be non-negative and finite")
         if self.pl_max_db <= 0:
             raise ValueError("pl_max_db must be positive")
         if not (0 < self.h_min_m <= self.h_max_m):
@@ -209,6 +216,52 @@ def _bandwidth_need(pl, rates, sys: SystemParams):
         return np.where(zeta > 0, rates / zeta, np.inf)
 
 
+class _Weighting:
+    """One weighting's tables on a search, kept while a sweep solves it at
+    many backhaul values.
+
+    ``w`` holds the users' weights; ``sum_w`` each candidate's eligible
+    weight, (n_xy, n_h), and ``order`` the candidates by it, highest first,
+    ties in grid order: the scan's order. When every rate class of the
+    search weighs alike, ``class_w`` holds the class weights and the
+    backhaul-side fills read class counts (:meth:`PlacementSearch._items`);
+    else it is None, and they read eligibility rows. ``item_w`` weighs what
+    the fills read, and ``everyone`` is all users in that form.
+    """
+
+    def __init__(self, search, w):
+        self.w = w
+        self.key = w.tobytes()
+        self.class_w = None
+        if search._one_hot is not None:
+            class_w = np.zeros(len(search.class_rates))
+            class_w[search.user_class] = w
+            if np.array_equal(class_w[search.user_class], w):
+                self.class_w = class_w
+        if self.class_w is not None:
+            self.item_w, rates = self.class_w, search.class_rates
+            self.sum_w = search.class_counts @ self.class_w
+            self.everyone = search._one_hot.sum(axis=0)[None]
+        else:
+            self.item_w, rates = w, search.rates
+            self.sum_w = np.stack([el @ w for el in search.eligible], axis=1)
+            self.everyone = np.ones((1, len(w)), dtype=bool)
+        # weight per rate does not depend on position: one item order serves every row
+        self._by_ratio = _ratio_order(self.item_w, rates)
+        self._w_g, self._r_g = self.item_w[self._by_ratio], rates[self._by_ratio]
+        self.order = np.argsort(-self.sum_w.reshape(-1), kind="stable")
+
+    def rate_fill(self, items, R: float) -> np.ndarray:
+        """Backhaul-side fractional fill (:func:`~droneplace.selection._fill`)
+        of each row of ``items``. A class of k users is one item of k times
+        their weight and rate, with the same weight per rate, so the fill is
+        the same up to rounding."""
+        items = items[:, self._by_ratio]
+        if self.class_w is None:
+            return _fill(items, self._w_g, self._r_g, R)[0]
+        return _fill(items > 0, items * self._w_g, items * self._r_g, R)[0]
+
+
 class PlacementSearch:
     """Grid scan with per-scenario precomputation, reusable across budgets.
 
@@ -281,6 +334,17 @@ class PlacementSearch:
         # because freeing one chunk that large lets the allocator keep more
         # freed heap
         self.eligible = [np.empty((n_xy, n), dtype=bool) for _ in self.hs]  # (n_xy, n)
+        # rate classes: users needing one rate weigh alike in both of the
+        # paper's weightings, so the backhaul-side screens can count each
+        # candidate's eligible users per class instead of reading them.
+        # float32 holds the counts exactly, and casting a boolean block to
+        # it and multiplying costs about half what float64 does
+        self.class_rates, self.user_class = np.unique(self.rates, return_inverse=True)
+        n_cls = len(self.class_rates)
+        self._one_hot = None
+        if n_cls <= MAX_CLASSES:
+            self._one_hot = (self.user_class[:, None] == np.arange(n_cls)).astype(np.float32)  # (n, n_cls)
+            self.class_counts = np.empty((n_xy, len(self.hs), n_cls), dtype=np.float32)
         # squared horizontal distance of every (x, y) grid row to every user,
         # a block of rows at a time; exact pathloss only in each layer's shell
         for lo in range(0, n_xy, _GEOMETRY_ROWS):
@@ -295,6 +359,8 @@ class PlacementSearch:
                     dist = np.hypot(dx.reshape(-1)[shell], dy.reshape(-1)[shell])
                     pl = pathloss_db(dist, float(h), env, sys.carrier_hz)
                     el.reshape(-1)[shell] = pl <= sys.pl_max_db
+                if self._one_hot is not None:
+                    self.class_counts[rows, lay] = el.astype(np.float32) @ self._one_hot
         # bandwidth needs computed so far: per layer, grid row -> slot in
         # _bw, or -1
         self._slot = [np.full(n_xy, -1) for _ in self.hs]
@@ -305,7 +371,7 @@ class PlacementSearch:
         self._filled = [0 for _ in self.hs]
         self.rows_computed = 0
         self.links_computed = 0
-        self._sum_w = (None, None)  # (weights as bytes, their _weight_sums)
+        self._weighting = None  # the last weighting's _Weighting
 
     def bw_rows(self, lay: int, rows) -> np.ndarray:
         """Bandwidth need of grid rows ``rows`` on layer ``lay``, (len(rows), n) MHz.
@@ -365,61 +431,55 @@ class PlacementSearch:
         """
         w = np.asarray(weights, dtype=float)
         R = float(backhaul_mbps)
-        # a sweep solves one weighting at many R values: its sums are kept
-        if self._sum_w[0] != w.tobytes():
-            self._sum_w = (w.tobytes(), self._weight_sums(w))
-        sum_w = self._sum_w[1]
-        by_ratio = _ratio_order(w, self.rates)
-        target = self._scan(w, R, sum_w, by_ratio)
-        return self._widest_margin(target, w, R, sum_w, by_ratio)
+        # a sweep solves one weighting at many R values: its tables are kept
+        if self._weighting is None or self._weighting.key != w.tobytes():
+            self._weighting = _Weighting(self, w)
+        target = self._scan(self._weighting, R)
+        return self._widest_margin(target, self._weighting, R)
 
-    def _weight_sums(self, w) -> np.ndarray:
-        """Each candidate's eligible weight, (n_xy, n_h).
+    def _items(self, wt, rows, lays):
+        """Candidates' eligible users as ``wt.rate_fill`` reads them: class
+        counts (rows, n_cls) when ``wt`` has classes, else eligibility rows
+        (rows, n). ``lays`` is one layer or one per row."""
+        if wt.class_w is not None:
+            return self.class_counts[rows, lays]
+        lays = np.broadcast_to(lays, np.shape(rows))
+        el = np.empty((len(rows), len(self.users)), dtype=bool)
+        for lay in range(len(self.hs)):
+            at = lays == lay
+            el[at] = self.eligible[lay][rows[at]]
+        return el
 
-        A block of grid rows at a time: ``el @ w`` casts the boolean rows to
-        float first, and a whole layer's cast cost more than the products.
-        """
-        n_xy = len(self._gx)
-        sum_w = np.empty((n_xy, len(self.hs)))
-        for lo in range(0, n_xy, _GEOMETRY_ROWS):
-            rows = slice(lo, lo + _GEOMETRY_ROWS)
-            for lay, el in enumerate(self.eligible):
-                sum_w[rows, lay] = el[rows] @ w
-        return sum_w
-
-    def _scan(self, w, R: float, sum_w, by_ratio) -> float:
+    def _scan(self, wt, R: float) -> float:
         """The maximum objective over all candidates, found best-first.
 
-        ``sum_w`` holds each candidate's eligible weight, (n_xy, n_h), and
-        ``by_ratio`` the users by descending weight per rate
-        (:func:`~droneplace.selection._ratio_order`). Candidates go by that
-        weight, highest first (ties in grid order). The first, the heaviest,
-        is solved on its own, so every later block of ``_CHUNK`` candidates
-        is screened against a solved incumbent (Land and Doig's
-        incumbent-first rule). A candidate's weight is bounded by ``top``,
-        the backhaul-side fractional fill
-        (:func:`~droneplace.selection._fill`, in the order ``by_ratio``) of
-        all users, rounded down to the weight grid: the fill only grows
-        with the item set. The scan stops at the first candidate whose
-        weight, so capped, cannot beat the incumbent; with user-centric
-        weights that is usually right after the first solve, once it
-        reaches R. Within a block the bandwidth-free test goes first: a
-        candidate whose own backhaul-side fill, so rounded, cannot beat the
-        incumbent is dropped before its link budgets are read. Any other
-        goes to ``solve_bnb`` only if the smaller of its backhaul- and
-        bandwidth-side fills, so rounded, beats the incumbent (each row
-        sorts its own items for the bandwidth side; a pool whose users all
-        fit is settled there with no node explored). No candidate comes
-        back: the margin stage finds its own. The scan runs on the calling
-        thread.
+        Candidates go by their eligible weight ``wt.sum_w``, highest first
+        (ties in grid order, ``wt.order``). The first, the heaviest, is
+        solved on its own, so every later block of ``_CHUNK`` candidates is
+        screened against a solved incumbent (Land and Doig's incumbent-first
+        rule). A candidate's weight is bounded by ``top``, the backhaul-side
+        fractional fill (``wt.rate_fill``) of all users, rounded down to the
+        weight grid: the fill only grows with the item set. The scan stops
+        at the first candidate whose weight, so capped, cannot beat the
+        incumbent; with user-centric weights that is usually right after the
+        first solve, once it reaches R. Within a block the bandwidth-free
+        test goes first: a candidate whose own backhaul-side fill, so
+        rounded, cannot beat the incumbent is dropped before its link
+        budgets are read; it reads class counts, not users, when the
+        weighting has classes. Any other goes to
+        :func:`~droneplace.selection.solve_value` only if the smaller of its
+        backhaul- and bandwidth-side fills, so rounded, beats the incumbent
+        (each row sorts its own items for the bandwidth side). No candidate
+        comes back: the margin stage finds its own. The scan runs on the
+        calling thread.
         """
         B = self.sys.bandwidth_mhz
         n_h = len(self.hs)
+        w = wt.w
         q = _value_grid(w)
-        w_g, r_g = w[by_ratio], self.rates[by_ratio]
-        weight = sum_w.reshape(-1)
-        order = np.argsort(-weight, kind="stable")
-        top = _grid_floor(_fill(np.ones((1, len(w)), dtype=bool), w_g, r_g, R)[0][0] + _LP_ROOM, q)
+        weight = wt.sum_w.reshape(-1)
+        order = wt.order
+        top = _grid_floor(wt.rate_fill(wt.everyone, R)[0] + _LP_ROOM, q)
         bound = np.minimum(weight, top)
 
         # the incumbent also skips the bounds that merely tie it: any optimal
@@ -433,18 +493,16 @@ class PlacementSearch:
             if not len(blk):
                 break
             rows, lays = np.divmod(blk, n_h)
-            el = np.empty((len(blk), len(w)), dtype=bool)
-            for lay in range(n_h):
-                at = lays == lay
-                el[at] = self.eligible[lay][rows[at]]
-            lp = _fill(el[:, by_ratio], w_g, r_g, R)[0]
+            lp = wt.rate_fill(self._items(wt, rows, lays), R)
             # only rows the backhaul side leaves open can be solved, so only
             # they get link budgets
             open_ = np.flatnonzero(_grid_floor(lp + _LP_ROOM, q) > skip_at)
-            blk, rows, lays, el, lp = blk[open_], rows[open_], lays[open_], el[open_], lp[open_]
+            blk, rows, lays, lp = blk[open_], rows[open_], lays[open_], lp[open_]
+            el = np.empty((len(blk), len(w)), dtype=bool)
             bw = np.empty((len(blk), len(w)))
             for lay in range(n_h):
                 at = lays == lay
+                el[at] = self.eligible[lay][rows[at]]
                 bw[at] = self.bw_rows(lay, rows[at])
             # bandwidth needs differ per row, and so does each row's item order
             by_bw = _ratio_order(w, bw)
@@ -456,17 +514,16 @@ class PlacementSearch:
                     continue
                 mask = el[i]
                 inst = SelectionInstance(w[mask], self.rates[mask], bw[i][mask], R, B)
-                res = solve_bnb(inst, prune_below=prune_below)
-                if res is None:
-                    continue
                 # subsets at different candidates can sum to the "same"
-                # objective with ~1e-13 float noise: require a genuine gain
-                if res.objective > best + TIE_EPS:
-                    best = res.objective
+                # objective with ~1e-13 float noise: the solve returns a
+                # value only for a genuine gain
+                value = solve_value(inst, prune_below=prune_below)
+                if value is not None:
+                    best = value
                     skip_at, prune_below = best + 0.5 * TIE_EPS, best
         return best
 
-    def _widest_margin(self, target: float, w: np.ndarray, R: float, sum_w: np.ndarray, by_ratio):
+    def _widest_margin(self, target: float, wt, R: float):
         """Among all placements attaining ``target``, the scan's maximum, the widest margin.
 
         A served set's margin is ``pl_max_db`` minus its worst served
@@ -484,9 +541,11 @@ class PlacementSearch:
         are visited in. Only the target comes from the scan, so which optimal
         candidate the scan met first cannot matter. With no user served (a
         target of 0, since weights are positive) there is no margin to
-        widen, and the first candidate in grid order stands.
+        widen, and the first candidate in grid order stands. The winner's
+        served set comes from one ``solve_bnb`` call, at its cut.
         """
         B = self.sys.bandwidth_mhz
+        w = wt.w
         if target == 0.0:
             pool = self.eligible[0][0]
             inst = SelectionInstance(w[pool], self.rates[pool], self.bw_rows(0, [0])[0][pool], R, B)
@@ -496,15 +555,14 @@ class PlacementSearch:
         # weight per rate); when that reaches the target, no row can fail the
         # backhaul-side fill, and the screens skip it (as with user-centric
         # weights, whose weight per rate is 1 throughout)
-        w_g, r_g = w[by_ratio], self.rates[by_ratio]
-        fill = (by_ratio, w_g, r_g, R) if R * w_g[-1] / r_g[-1] < target - _LP_ROOM else None
+        fill = R if R * np.min(w / self.rates) < target - _LP_ROOM else None
         cut, c = math.inf, None
         for lay in reversed(range(n_h)):
-            for lb, cand in self._contenders(lay, w, target, cut, sum_w, fill):
+            for lb, cand in self._contenders(lay, wt, target, cut, fill):
                 if lb > cut or (lb == cut and c is not None and cand > c):
                     break
                 row = cand // n_h
-                if not self._distance_screen(lay, np.array([row]), w, target, cut, fill)[0][0]:
+                if not self._distance_screen(lay, np.array([row]), wt, target, cut, fill)[0][0]:
                     continue
                 el = self.eligible[lay][row]
                 found = _margin_cut(
@@ -512,17 +570,15 @@ class PlacementSearch:
                     cut, c is None or cand < c,
                 )
                 if found is not None:
-                    (cut, keep, res), c = found, int(cand)
+                    (cut, keep), c = found, int(cand)
         row, lay = divmod(c, n_h)
         pool = self.eligible[lay][row].copy()
         pool[np.flatnonzero(pool)[~keep]] = False
-        if res is None:
-            bw = self.bw_rows(lay, [row])[0]
-            inst = SelectionInstance(w[pool], self.rates[pool], bw[pool], R, B)
-            res = solve_bnb(inst, prune_below=target - 2 * TIE_EPS)
-        return c, pool, res
+        bw = self.bw_rows(lay, [row])[0]
+        inst = SelectionInstance(w[pool], self.rates[pool], bw[pool], R, B)
+        return c, pool, solve_bnb(inst, prune_below=target - 2 * TIE_EPS)
 
-    def _contenders(self, lay, w, target: float, cut: float, sum_w, fill):
+    def _contenders(self, lay, wt, target: float, cut: float, fill):
         """One layer's candidates that may reach ``target`` within ``cut``.
 
         Returns an iterator of (bound, candidate) pairs, numpy scalars
@@ -533,31 +589,29 @@ class PlacementSearch:
         a lower bound on the candidate's own cut, taken from distances
         alone, so no link budget is read here.
 
-        ``fill`` is None, or ``(by_ratio, w[by_ratio], rates[by_ratio], R)``
-        when the backhaul-side fractional fill can screen anything (see
-        :meth:`_widest_margin`); weight per rate does not depend on
-        position, so one item order serves every row. Then, before anything
-        else, a candidate goes whose whole eligible set's fill falls short
-        by more than twice the room: the fill is monotone in the item set,
-        so the distance screen would drop it too, and this test is cheaper.
-        Rows go in blocks so the temporaries stay small.
+        ``fill`` is None, or the backhaul R when the backhaul-side
+        fractional fill (``wt.rate_fill``) can screen anything (see
+        :meth:`_widest_margin`). Then, before anything else, a candidate goes
+        whose whole eligible set's fill falls short by more than twice the
+        room: the fill is monotone in the item set, so the distance screen
+        would drop it too, and this test is cheaper; with classes it reads
+        the candidate's class counts. Rows go in blocks so the temporaries
+        stay small.
         """
-        el = self.eligible[lay]
-        candidates = np.flatnonzero(sum_w[:, lay] >= target - 2 * TIE_EPS)
+        candidates = np.flatnonzero(wt.sum_w[:, lay] >= target - 2 * TIE_EPS)
         rows, lower = [candidates[:0]], [np.empty(0)]
         for lo in range(0, len(candidates), _CHUNK):
             blk = candidates[lo:lo + _CHUNK]
             if fill is not None:
-                by_ratio, w_g, r_g, R = fill
-                blk = blk[_fill(el[blk][:, by_ratio], w_g, r_g, R)[0] >= target - 2 * _LP_ROOM]
-            near, lb = self._distance_screen(lay, blk, w, target, cut, fill)
+                blk = blk[wt.rate_fill(self._items(wt, blk, lay), fill) >= target - 2 * _LP_ROOM]
+            near, lb = self._distance_screen(lay, blk, wt, target, cut, fill)
             rows.append(blk[near])
             lower.append(lb)
         rows, lower = np.concatenate(rows), np.concatenate(lower)
         rank = np.lexsort((rows, lower))
         return zip(lower[rank], rows[rank] * len(self.hs) + lay)
 
-    def _distance_screen(self, lay, rows, w, target: float, cut: float, fill):
+    def _distance_screen(self, lay, rows, wt, target: float, cut: float, fill):
         """Distance-only screen and lower bounds of grid rows on layer ``lay``.
 
         Returns a mask of the rows that may reach ``target`` within ``cut``,
@@ -587,8 +641,11 @@ class PlacementSearch:
           or under ``d*``, the returned bound, is at most the exact bound.
 
         The slack covers the float error of 1/zeta, of a key against it, and
-        of squared distances against ``np.hypot``, many times over.
+        of squared distances against ``np.hypot``, many times over. With
+        classes, the weight and the fill within the radius come from the
+        users' class counts there.
         """
+        w = wt.w
         steps2, inv_zeta = self._steps2, self._inv_zeta[lay]
         over = np.flatnonzero(inv_zeta > cut)
         r2 = steps2[over[0]] * (1.0 + _SQUARED_SLACK) if len(over) else np.inf
@@ -598,11 +655,12 @@ class PlacementSearch:
         d2 = dx * dx + dy * dy
         el = self.eligible[lay][rows]
         inside = el & (d2 <= r2)
-        near = inside @ w >= carry
+        if wt.class_w is not None:
+            inside = inside.astype(np.float32) @ self._one_hot  # class counts within the radius
+        near = inside @ wt.item_w >= carry
         if fill is not None:
-            by_ratio, w_g, r_g, R = fill
             kept = np.flatnonzero(near)
-            near[kept] = _fill(inside[kept][:, by_ratio], w_g, r_g, R)[0] >= target - _LP_ROOM
+            near[kept] = wt.rate_fill(inside[kept], fill) >= target - _LP_ROOM
         d2 = np.where(el[near], d2[near], np.inf)
         order = np.argsort(d2, axis=1)
         cum = np.cumsum(w[order], axis=1)
@@ -651,24 +709,20 @@ class PlacementSearch:
             raise RuntimeError("bandwidth budget exceeded")
 
 
-def _reach(w, r, b, R: float, B: float, target: float):
+def _reach(w, r, b, R: float, B: float, target: float) -> bool:
     """Whether some selection of these users is worth ``target`` (within TIE_EPS).
 
-    Returns (reached, selection): the selection is the lexicographically
-    first optimal one when the proof produced it, else None. The fractional
-    fills have already been ruled on, for every cut at once, by
-    :func:`_margin_cut`; the cheap proofs left go first, the weight sum and
-    the greedy value. The exact solve runs only when neither settles it, and
-    settles a pool whose users all fit at once.
+    The fractional fills have already been ruled on, for every cut at once,
+    by :func:`_margin_cut`; the cheap proofs left go first, the weight sum
+    and the greedy value. The exact value
+    (:func:`~droneplace.selection.solve_value`) is found only when neither
+    settles it.
     """
     if np.sum(w) < target - TIE_EPS:
-        return False, None
+        return False
     if _greedy_value(w, r, b, R, B) >= target - TIE_EPS:
-        return True, None
-    res = solve_bnb(SelectionInstance(w, r, b, R, B), prune_below=target - 2 * TIE_EPS)
-    if res is None or res.objective < target - TIE_EPS:
-        return False, None
-    return True, res
+        return True
+    return solve_value(SelectionInstance(w, r, b, R, B), prune_below=target - 2 * TIE_EPS) is not None
 
 
 def _margin_cut(w, r, b, R: float, B: float, target: float, limit: float, inclusive: bool):
@@ -676,10 +730,9 @@ def _margin_cut(w, r, b, R: float, B: float, target: float, limit: float, inclus
 
     Users are ranked by 1/zeta = ``b / r``, which rises strictly with
     pathloss, so a cut on it is a cut on pathloss. Only cuts below
-    ``limit`` count (or at it, when ``inclusive``). Returns the cut, the
-    mask of users at or under it and their lexicographically first optimal
-    selection if finding the cut produced it (else None), or None when no
-    such cut reaches the target.
+    ``limit`` count (or at it, when ``inclusive``). Returns the cut and the
+    mask of users at or under it, or None when no such cut reaches the
+    target.
 
     A cut whose smaller fractional fill
     (:func:`~droneplace.selection._fill`) falls short of the target by more
@@ -715,12 +768,10 @@ def _margin_cut(w, r, b, R: float, B: float, target: float, limit: float, inclus
     if not fills_reach(cuts[-1:])[0]:
         return None
     cuts = cuts[np.argmax(fills_reach(cuts)):]
-    found = {}
 
     def reaches(i: int) -> bool:
         m = key <= cuts[i]
-        reached, found[i] = _reach(w[m], r[m], b[m], R, B, target)
-        return reached
+        return _reach(w[m], r[m], b[m], R, B, target)
 
     lo, hi = 0, len(cuts) - 1
     if not reaches(lo):
@@ -733,7 +784,7 @@ def _margin_cut(w, r, b, R: float, B: float, target: float, limit: float, inclus
                 hi = mid
             else:
                 lo = mid + 1
-    return float(cuts[lo]), key <= cuts[lo], found[lo]
+    return float(cuts[lo]), key <= cuts[lo]
 
 
 def evaluate_position(users, placement: Placement, sys: SystemParams, env) -> SelectionResult:

@@ -5,7 +5,8 @@ Given per-user weights, required rates and required bandwidths, pick the
 (sum of rates <= backhaul capacity, sum of bandwidths <= spectrum). Solved
 exactly by one depth-first branch-and-bound pass, with same-class dominance
 among users of equal weight and rate; a full-enumeration solver is kept
-alongside as an independent oracle for tests.
+alongside as an independent oracle for tests. When only the optimum's value
+is needed, :func:`solve_value` finds it over per-class counts instead.
 
 Quantities are expected in Mbps / MHz so magnitudes sit near 1 and the
 absolute tolerances below behave uniformly.
@@ -62,6 +63,8 @@ class SelectionInstance:
             raise ValueError("weights must be positive")
         if n and (np.any(self.rates_mbps < 0) or np.any(self.bandwidths_mhz < 0)):
             raise ValueError("rates and bandwidths must be non-negative")
+        if not (math.isfinite(self.backhaul_cap_mbps) and math.isfinite(self.bandwidth_cap_mhz)):
+            raise ValueError("capacities must be finite")
         if self.backhaul_cap_mbps < 0 or self.bandwidth_cap_mhz < 0:
             raise ValueError("capacities must be non-negative")
 
@@ -347,16 +350,22 @@ class _SuffixBounds:
             cum_w = self.cum_w[k] = self._rows_w[k].tolist()
         else:
             cum_w = self.cum_w[k]
-        if cap < 0.0:
-            cap = 0.0
-        j = bisect_right(cum_c, cap + 1e-12)
-        total = cum_w[j - 1] if j else 0.0
-        if j < len(cum_c):
-            rem = cap - (cum_c[j - 1] if j else 0.0)
-            c_next = self.item_c[j]
-            if rem > 0 and c_next > 0:
-                total += self.item_w[j] * rem / c_next
-        return total
+        return _sorted_fill(cum_c, cum_w, self.item_w, self.item_c, cap)
+
+
+def _sorted_fill(cum_c, cum_w, item_w, item_c, cap: float) -> float:
+    """:func:`_fill` of one row by binary search: ``item_w`` and ``item_c``
+    in :func:`_ratio_order`, with running sums ``cum_w`` and ``cum_c``."""
+    if cap < 0.0:
+        cap = 0.0
+    j = bisect_right(cum_c, cap + 1e-12)
+    total = cum_w[j - 1] if j else 0.0
+    if j < len(cum_c):
+        rem = cap - (cum_c[j - 1] if j else 0.0)
+        c_next = item_c[j]
+        if rem > 0 and c_next > 0:
+            total += item_w[j] * rem / c_next
+    return total
 
 
 def _pick_surrogate_mu(w, r, b, R, B) -> float | None:
@@ -415,6 +424,14 @@ class _FlipBounds:
         return fixed_in, ~(fixed_in | fixed_out)
 
 
+def _prune_cut(v: float, q: float | None) -> float:
+    """The least bound that may still beat incumbent ``v``: a subtree whose
+    bound ``ub`` is below it has ``grid_floor(ub) <= v + TIE_EPS``."""
+    if q and v > -math.inf:
+        return q * (math.floor((v + TIE_EPS) / q) + 1.0 - 1e-9)
+    return v + TIE_EPS
+
+
 def _greedy_value(weights, rates, bws, r_cap, b_cap) -> float:
     """Feasible greedy by weight per combined relative cost; warm-start value."""
     denom = rates / max(r_cap, 1e-300) + bws / max(b_cap, 1e-300)
@@ -461,9 +478,7 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
       :func:`solve_brute_force` already agree;
     - the whole-suffix shortcut may take a dominated user, harmlessly: the
       swap lies on i's include branch, searched first, so ``consider``
-      rejects the equal value;
-    - a class with nothing excluded holds None, not ``inf``, so an
-      ``inf`` need under an infinite cap skips nothing.
+      rejects the equal value.
 
     When every user fits within both caps (up to ``_SEARCH_EPS``), selecting
     all of them is the unique optimum: it is returned at once, with 0 nodes
@@ -528,16 +543,9 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
     cls = [classes.setdefault(pair, len(classes)) for pair in zip(w_l, r_l)]
     least_out: list = [None] * len(classes)
 
-    def prune_cut(v: float) -> float:
-        # subtrees with ub < cut cannot beat incumbent v:
-        # ub < cut  <=>  grid_floor(ub) <= v + TIE_EPS
-        if q:
-            return q * (math.floor((v + TIE_EPS) / q) + 1.0 - 1e-9)
-        return v + TIE_EPS
-
     best_val = t - base
     best_sel: np.ndarray | None = None
-    cut = prune_cut(best_val)
+    cut = _prune_cut(best_val, q)
     cur = np.zeros(m, dtype=bool)
     nodes = 0
 
@@ -546,7 +554,7 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
         if value > best_val + TIE_EPS:
             best_val = value
             best_sel = sel
-            cut = prune_cut(best_val)
+            cut = _prune_cut(best_val, q)
 
     def dfs(k: int, r_rem: float, b_rem: float, value: float) -> None:
         nonlocal nodes
@@ -582,7 +590,10 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
         dfs(k + 1, r_rem, b_rem, value)
         least_out[ck] = least
 
-    dfs(0, Rp, Bp, 0.0)
+    try:
+        dfs(0, Rp, Bp, 0.0)
+    finally:
+        del dfs  # it refers to itself: left alone, every solve's tables wait for the cycle collector
     if best_sel is None:
         # only reachable with a raised floor: the default threshold sits
         # strictly below the feasible greedy value, which the search finds
@@ -590,3 +601,148 @@ def solve_bnb(inst: SelectionInstance, prune_below: float = -math.inf) -> Select
         return None
     full_mask[idx[free_idx[best_sel]]] = True
     return _finalize(inst, full_mask, nodes=nodes)
+
+
+# =====================================================================
+# Value-only solve over class counts
+# =====================================================================
+
+MAX_CLASSES = 8  # more (weight, rate) classes than this go to solve_bnb
+_MAX_UNITS = 1_000_000  # rate-grid units past which the DP goes to solve_bnb
+
+
+class _TableFill:
+    """:func:`_fill` of one fixed item set at any cap, one binary search a
+    call (:func:`_sorted_fill`)."""
+
+    def __init__(self, w, c):
+        order = _ratio_order(w, c)
+        self.item_w, self.item_c = w[order].tolist(), c[order].tolist()
+        self.cum_w, self.cum_c = np.cumsum(w[order]).tolist(), np.cumsum(c[order]).tolist()
+
+    def __call__(self, cap: float) -> float:
+        return _sorted_fill(self.cum_c, self.cum_w, self.item_w, self.item_c, cap)
+
+
+class _CountSearch:
+    """Depth-first search over how many users each class serves.
+
+    Classes go by weight per rate, highest first; a class's count runs from
+    the most that fits down to 0, each taking its smallest needs. A count
+    goes on only while the smaller of the later classes' fills, backhaul
+    side (whole classes) and bandwidth side (their users), floored to the
+    weight grid, can beat the incumbent. The last class takes the most
+    that fits. Methods, not a nested closure, so a solve leaves no cycle.
+    """
+
+    def __init__(self, cw, cr, needs, q):
+        self.cw, self.cr, self.q = cw.tolist(), cr.tolist(), q
+        self.prefix = [[0.0, *np.cumsum(b).tolist()] for b in needs]
+        counts = np.array([len(b) for b in needs])
+        # per class c, the fills of classes c + 1..
+        self.later = [
+            (
+                _TableFill(counts[c:] * cw[c:], counts[c:] * cr[c:]),
+                _TableFill(np.repeat(cw[c:], counts[c:]), np.concatenate(needs[c:])),
+            )
+            for c in range(1, len(needs))
+        ]
+
+    def best(self, c: int, r_rem: float, b_rem: float, value: float, best: float) -> float:
+        w_c, r_c, pre = self.cw[c], self.cr[c], self.prefix[c]
+        k_max = bisect_right(pre, b_rem) - 1
+        if r_c > 0:
+            k_max = min(k_max, int(r_rem / r_c))
+        if c + 1 == len(self.cw):
+            v = value + k_max * w_c
+            return v if v > best + TIE_EPS else best
+        rate_fill, bw_fill = self.later[c]
+        cut = _prune_cut(best, self.q)
+        for k in range(k_max, -1, -1):
+            r_k = max(r_rem - k * r_c, 0.0)
+            b_k = max(b_rem - pre[k], 0.0)
+            if value + k * w_c + min(rate_fill(r_k), bw_fill(b_k)) >= cut:
+                best = self.best(c + 1, r_k, b_k, value + k * w_c, best)
+                cut = _prune_cut(best, self.q)
+        return best
+
+
+def _least_needs(units, needs, top: int, B: float) -> np.ndarray:
+    """Least bandwidth per reachable rate sum: ``least[v]`` for v grid units, up to ``top``.
+
+    One min-plus pass per class over its sorted needs' running sums; ``inf``
+    where no selection sums to v units within ``B``.
+    """
+    least = np.full(top + 1, np.inf)
+    least[0] = 0.0
+    for u, b in zip(units, needs):
+        pre = np.cumsum(b)
+        k_max = min(int(np.searchsorted(pre, B, side="right")), top // u)
+        nxt = least.copy()
+        for k in range(1, k_max + 1):
+            s = k * u
+            np.minimum(nxt[s:], least[: top + 1 - s] + pre[k - 1], out=nxt[s:])
+        least = nxt
+    return least
+
+
+def _count_value(w, r, b, R: float, B: float, prune_below: float) -> float | None:
+    """:func:`solve_value`'s optimum over class counts (caps with their
+    slack), or None where neither count solver applies."""
+    order = np.lexsort((b, r, w))
+    ws, rs, bs = w[order], r[order], b[order]
+    starts = np.flatnonzero(np.append(True, (ws[1:] != ws[:-1]) | (rs[1:] != rs[:-1])))
+    if len(starts) > MAX_CLASSES:
+        return None
+    cw, cr = ws[starts], rs[starts]
+    needs = np.split(bs, starts[1:])
+    if not np.array_equal(cw, cr):
+        by_ratio = _ratio_order(cw, cr)
+        search = _CountSearch(cw[by_ratio], cr[by_ratio], [needs[i] for i in by_ratio], _value_grid(cw))
+        return search.best(0, R, B, 0.0, prune_below)
+    grid = _value_grid(cr)
+    if grid is None:
+        return None
+    units = np.rint(cr / grid).astype(int)
+    # sums in units must stand for sums of rates: every rate a whole number
+    # of grid steps up to float noise, not merely within the grid's 1e-9
+    top = min(int(R / grid), int(units @ np.diff(np.append(starts, len(w)))))
+    if np.any(units == 0) or np.any(np.abs(units * grid - cr) > 1e-12 * cr) or top > _MAX_UNITS:
+        return None
+    least = _least_needs(units.tolist(), needs, top, B)
+    return grid * int(np.flatnonzero(least <= B)[-1])
+
+
+def solve_value(inst: SelectionInstance, prune_below: float = -math.inf) -> float | None:
+    """The optimum objective of ``inst`` when it exceeds ``prune_below`` by more than TIE_EPS, else None.
+
+    The same optimum as :func:`solve_bnb`, without the selection. In both of
+    the paper's weightings a user's weight depends only on its rate, so
+    users fall into a few classes, one per exact (weight, rate) pair, that
+    differ only in bandwidth need. An optimum picks a count per class and,
+    within each, the smallest needs: a two-budget bounded knapsack over the
+    class counts (Kellerer, Pferschy & Pisinger, *Knapsack Problems*, 2004,
+    ch. 7). Caps get ``_SEARCH_EPS`` of slack, as in :func:`solve_bnb`.
+
+    - When weights differ from rates: :class:`_CountSearch`.
+    - When every weight equals its rate and the rates sit on a value grid,
+      the backhaul-side fill bounds nothing below R, and a DP runs instead:
+      the least bandwidth for each reachable rate sum in grid units
+      (:func:`_least_needs`); the optimum is the largest sum within B.
+    - Otherwise, with more than ``MAX_CLASSES`` classes, rates off the
+      grid, or a DP wider than ``_MAX_UNITS``: :func:`solve_bnb`.
+
+    Counts times weights may differ from :func:`solve_bnb`'s sum of the same
+    selection by a few ulp, far under TIE_EPS.
+    """
+    w, r, b = inst.weights, inst.rates_mbps, inst.bandwidths_mhz
+    R = inst.backhaul_cap_mbps + _SEARCH_EPS
+    B = inst.bandwidth_cap_mhz + _SEARCH_EPS
+    if np.sum(r) <= R and np.sum(b) <= B:
+        value = float(np.sum(w))
+    else:
+        value = _count_value(w, r, b, R, B, prune_below)
+        if value is None:
+            res = solve_bnb(inst, prune_below)
+            value = -math.inf if res is None else res.objective
+    return value if value > prune_below + TIE_EPS else None

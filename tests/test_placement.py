@@ -14,6 +14,7 @@ from droneplace.placement import (
     SystemParams,
     _margin_cut,
     _ratio_order,
+    _Weighting,
     candidate_grid,
     evaluate_position,
     optimal_placement,
@@ -24,6 +25,7 @@ from droneplace.selection import (
     _fill,
     solve_bnb,
     solve_brute_force,
+    solve_value,
 )
 from droneplace.users import AreaBounds, User, assign_weights, sample_users
 
@@ -429,7 +431,7 @@ def test_link_budgets_are_computed_on_demand_and_once(monkeypatch):
 # ---------------------------------------------------------------------
 
 
-def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
+def eager_contenders(search, lay, w, R, target, cut):
     """The margin stage's contenders with every candidate's exact keys.
 
     The reference for ``PlacementSearch._contenders``: each candidate with
@@ -441,9 +443,10 @@ def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
     floor = target - 2 * TIE_EPS
     n_h = len(search.hs)
     el = search.eligible[lay]
+    by_ratio = _ratio_order(w, search.rates)
     w_g, r_g = w[by_ratio], search.rates[by_ratio]
     prescreen = R * w_g[-1] / r_g[-1] < target - _LP_ROOM
-    rows = np.flatnonzero(sum_w[:, lay] >= floor)
+    rows = np.flatnonzero(el @ w >= floor)
     if prescreen:
         rows = rows[_fill(el[rows][:, by_ratio], w_g, r_g, R)[0] >= target - 2 * _LP_ROOM]
     key = np.where(el[rows], search.bw_rows(lay, rows) / search.rates, np.inf)
@@ -458,35 +461,27 @@ def eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio):
     return sorted(zip(bounds[ok].tolist(), (rows[ok] * n_h + lay).tolist()))
 
 
-def backhaul_fill(search, w, R, by_ratio):
-    """The screens' ``fill`` argument: the backhaul-side fill in the order
-    ``by_ratio``."""
-    return by_ratio, w[by_ratio], search.rates[by_ratio], R
-
-
-def screen_fill(search, w, R, target, by_ratio):
-    """The ``fill`` the margin stage hands its screens: None where the
+def screen_fill(search, w, R, target):
+    """The ``fill`` the margin stage hands its screens: R, or None where the
     backhaul-side fill cannot drop anything."""
-    fill = backhaul_fill(search, w, R, by_ratio)
-    return fill if R * fill[1][-1] / fill[2][-1] < target - _LP_ROOM else None
+    return R if R * np.min(w / search.rates) < target - _LP_ROOM else None
 
 
 def margin_stage_inputs(search, w, R):
     """What the margin stage hands ``_contenders``: the scan's objective, the
-    weight sums, the ratio order, and three cuts: ``inf``, where the stage
-    starts, the final candidate's loosest cut, and the final cut."""
+    weighting's tables, and three cuts: ``inf``, where the stage starts, the
+    final candidate's loosest cut, and the final cut."""
     n_h = len(search.hs)
-    sum_w = search._weight_sums(w)
-    by_ratio = _ratio_order(w, search.rates)
+    wt = _Weighting(search, w)
 
     def loosest(c, pool):
         row, lay = divmod(c, n_h)
         return float(np.max(search.bw_rows(lay, [row])[0][pool] / search.rates[pool]))
 
-    target = search._scan(w, R, sum_w, by_ratio)
-    c, pool, _ = search._widest_margin(target, w, R, sum_w, by_ratio)
+    target = search._scan(wt, R)
+    c, pool, _ = search._widest_margin(target, wt, R)
     row, lay = divmod(c, n_h)
-    return target, sum_w, by_ratio, (np.inf, loosest(c, search.eligible[lay][row]), loosest(c, pool))
+    return target, wt, (np.inf, loosest(c, search.eligible[lay][row]), loosest(c, pool))
 
 
 def lattice_users(mode):
@@ -511,13 +506,13 @@ def lattice_users(mode):
 LATTICE_GRID = dict(bounds=AreaBounds(0.0, 1000.0, 0.0, 1000.0), h_max_m=200.0, backhaul_mbps=12.0)
 
 
-def assert_contenders_cover(search, lay, w, R, target, cut, sum_w, by_ratio, got):
+def assert_contenders_cover(search, lay, w, R, target, cut, got):
     """``got``, what ``_contenders`` yielded, is sorted by (bound,
     candidate) and holds every candidate the exact keys keep, with a lower
     bound at most its exact bound. Returns how many the exact keys keep."""
     assert got == sorted(got)
     lower = {cand: lb for lb, cand in got}
-    eager = eager_contenders(search, lay, w, R, target, cut, sum_w, by_ratio)
+    eager = eager_contenders(search, lay, w, R, target, cut)
     for bound, cand in eager:
         assert lower[cand] <= bound
     return len(eager)
@@ -535,12 +530,12 @@ def test_contenders_cover_the_eager_order(seed):
         users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
         search = PlacementSearch(users, cfg.system, cfg.environment)
         w = np.array([u.weight for u in users])
-        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
-        fill = screen_fill(search, w, R, target, by_ratio)
+        target, wt, cuts = margin_stage_inputs(search, w, R)
+        fill = screen_fill(search, w, R, target)
         for lay in range(len(search.hs)):
             for cut in cuts:
-                got = list(search._contenders(lay, w, target, float(cut), sum_w, fill))
-                covered += assert_contenders_cover(search, lay, w, R, target, float(cut), sum_w, by_ratio, got)
+                got = list(search._contenders(lay, wt, target, float(cut), fill))
+                covered += assert_contenders_cover(search, lay, w, R, target, float(cut), got)
     assert covered > 0
 
 
@@ -559,21 +554,21 @@ def test_lazy_contenders_match_the_eager_order_on_exact_ties(monkeypatch, screen
         users = lattice_users(mode)
         search = PlacementSearch(users, sys, URBAN)
         w = np.array([u.weight for u in users])
-        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
+        target, wt, cuts = margin_stage_inputs(search, w, R)
         for lay in range(len(search.hs)):
-            key = search.bw_rows(lay, np.arange(len(sum_w))) / search.rates
+            key = search.bw_rows(lay, np.arange(len(wt.sum_w))) / search.rates
             finite = np.unique(key[np.isfinite(key)])
             one_ulp += int(np.sum(np.diff(finite) <= np.spacing(finite[1:])))
             for t in (target, 4 * min(w)):
-                fill = screen_fill(search, w, R, t, by_ratio)
+                fill = screen_fill(search, w, R, t)
                 for cut in (*cuts, *np.quantile(finite, [0.25, 0.5, 1.0])):
-                    args = (lay, w, t, float(cut), sum_w, fill)
+                    args = (lay, wt, t, float(cut), fill)
                     # small blocks put equal bounds on both sides of a block boundary
                     monkeypatch.setattr(placement, "_CHUNK", screen)
                     got = list(search._contenders(*args))
-                    monkeypatch.setattr(placement, "_CHUNK", len(sum_w))
+                    monkeypatch.setattr(placement, "_CHUNK", len(wt.sum_w))
                     assert got == list(search._contenders(*args))
-                    covered += assert_contenders_cover(search, lay, w, R, t, float(cut), sum_w, by_ratio, got)
+                    covered += assert_contenders_cover(search, lay, w, R, t, float(cut), got)
                     tied += sum(a[0] == b[0] for a, b in zip(got, got[1:]))
     assert covered > 0 and one_ulp > 0 and tied > 0
 
@@ -601,7 +596,7 @@ def margin_in_grid_order(search, w, R, target):
             w[el], search.rates[el], bw, R, search.sys.bandwidth_mhz, target, cut, c is None
         )
         if found is not None:
-            (cut, keep, _), c = found, cand
+            (cut, keep), c = found, cand
     row, lay = divmod(c, n_h)
     pool = search.eligible[lay][row].copy()
     pool[np.flatnonzero(pool)[~keep]] = False
@@ -651,16 +646,15 @@ def test_margin_stage_does_not_depend_on_the_visiting_order(monkeypatch, grid, b
         if bounds != "table":
             parity = 0 if bounds == "own_cut_on_even_rows" else 1
 
-            def mixed(lay, rows, w, target, cut, fill, search=search, screen=search._distance_screen):
-                near, lb = screen(lay, rows, w, target, cut, fill)
-                own = own_cuts(search, lay, rows[near], w, R, target)
+            def mixed(lay, rows, wt, target, cut, fill, search=search, screen=search._distance_screen):
+                near, lb = screen(lay, rows, wt, target, cut, fill)
+                own = own_cuts(search, lay, rows[near], wt.w, R, target)
                 return near, np.where(rows[near] % 2 == parity, own, lb)
 
             monkeypatch.setattr(search, "_distance_screen", mixed)
-        sum_w = search._weight_sums(w)
-        by_ratio = _ratio_order(w, search.rates)
-        target = search._scan(w, R, sum_w, by_ratio)
-        c, pool, res = search._widest_margin(target, w, R, sum_w, by_ratio)
+        wt = _Weighting(search, w)
+        target = search._scan(wt, R)
+        c, pool, res = search._widest_margin(target, wt, R)
         want, want_pool = margin_in_grid_order(search, w, R, target)
         assert c == want
         assert np.array_equal(pool, want_pool)
@@ -712,13 +706,12 @@ def test_margin_cut_matches_solving_every_cut(seed):
         users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
         search = PlacementSearch(users, cfg.system, cfg.environment)
         w = np.array([u.weight for u in users])
-        sum_w = search._weight_sums(w)
-        by_ratio = _ratio_order(w, search.rates)
-        target = search._scan(w, R, sum_w, by_ratio)
+        wt = _Weighting(search, w)
+        target = search._scan(wt, R)
         top = len(search.hs) - 1
-        fill = screen_fill(search, w, R, target, by_ratio)
-        _, first = next(search._contenders(top, w, target, np.inf, sum_w, fill))
-        for lay, row in ((top, first // len(search.hs)), (0, int(np.argmax(sum_w[:, 0])))):
+        fill = screen_fill(search, w, R, target)
+        _, first = next(search._contenders(top, wt, target, np.inf, fill))
+        for lay, row in ((top, first // len(search.hs)), (0, int(np.argmax(wt.sum_w[:, 0])))):
             el = search.eligible[lay][row]
             args = (w[el], search.rates[el], search.bw_rows(lay, [row])[0][el], R, B, target)
             cuts, reached = cuts_reached(*args)
@@ -737,13 +730,9 @@ def test_margin_cut_matches_solving_every_cut(seed):
                         missed += 1
                         continue
                     want = cuts[np.argmax(reached & within)]
-                    cut, mask, res = got
+                    cut, mask = got
                     assert cut == want
                     assert np.array_equal(mask, key <= want)
-                    if res is not None:
-                        m = key <= want
-                        exact = solve_bnb(SelectionInstance(*(a[m] for a in args[:3]), R, B))
-                        assert res.selected == exact.selected
                     found += 1
     assert found and missed
 
@@ -761,12 +750,12 @@ def test_distance_bounds_are_admissible(seed):
         users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
         search = PlacementSearch(users, cfg.system, cfg.environment)
         w = np.array([u.weight for u in users])
-        target, sum_w, by_ratio, cuts = margin_stage_inputs(search, w, R)
+        target, wt, cuts = margin_stage_inputs(search, w, R)
         floor = target - 2 * TIE_EPS
-        fill = backhaul_fill(search, w, R, by_ratio)
+        by_ratio = _ratio_order(w, search.rates)
         for lay in range(len(search.hs)):
-            rows = np.flatnonzero(sum_w[:, lay] >= floor)
-            near, lb = search._distance_screen(lay, rows, w, target, np.inf, None)
+            rows = np.flatnonzero(wt.sum_w[:, lay] >= floor)
+            near, lb = search._distance_screen(lay, rows, wt, target, np.inf, None)
             assert np.all(near)
             assert np.all(lb <= exact_bounds(search, lay, rows, w, floor))
             el = search.eligible[lay][rows]
@@ -775,10 +764,10 @@ def test_distance_bounds_are_admissible(seed):
             for cut in (*cuts, *np.quantile(finite, [0.1, 0.5, 0.9])):
                 inside = el & (key <= cut)
                 heavy = inside @ w >= floor
-                fills = _fill(inside[:, by_ratio], *fill[1:])[0] >= target - _LP_ROOM
-                near, _ = search._distance_screen(lay, rows, w, target, float(cut), None)
+                fills = _fill(inside[:, by_ratio], w[by_ratio], search.rates[by_ratio], R)[0] >= target - _LP_ROOM
+                near, _ = search._distance_screen(lay, rows, wt, target, float(cut), None)
                 assert np.all(near[heavy])
-                filled, _ = search._distance_screen(lay, rows, w, target, float(cut), fill)
+                filled, _ = search._distance_screen(lay, rows, wt, target, float(cut), R)
                 assert np.all(filled[heavy & fills])
                 dropped += int(np.sum(near & ~filled))
     # the fill screen drops rows the weight screen keeps
@@ -828,16 +817,16 @@ def test_distance_bounds_hold_at_the_table_steps():
     users, steps = table_step_users(sys, hs, spots)
     search = PlacementSearch(users, sys, URBAN, axes=([0.0], [0.0], hs))
     assert np.array_equal(search._steps2, steps * steps)
-    w = np.ones(len(users))
+    wt = _Weighting(search, np.ones(len(users)))
     row = np.array([0])
     checked = 0
     for lay in range(len(hs)):
         key = search.bw_rows(lay, row)[0] / search.rates
         ranked = np.sort(key[search.eligible[lay][0]])
         for j, bound in enumerate(ranked, start=1):
-            near, lb = search._distance_screen(lay, row, w, j, np.inf, None)
+            near, lb = search._distance_screen(lay, row, wt, j, np.inf, None)
             assert near[0] and lb[0] <= bound
-            near, _ = search._distance_screen(lay, row, w, j, float(bound), None)
+            near, _ = search._distance_screen(lay, row, wt, j, float(bound), None)
             assert near[0]
             checked += 1
     assert checked > 300
@@ -865,7 +854,7 @@ def test_the_cut_radius_holds_at_the_table_steps_with_an_unlowered_table(monkeyp
         for i in np.flatnonzero(search.eligible[lay][0]):
             w = np.zeros(len(users))
             w[i] = 1.0
-            assert search._distance_screen(lay, row, w, 1.0, float(key[i]), None)[0][0]
+            assert search._distance_screen(lay, row, _Weighting(search, w), 1.0, float(key[i]), None)[0][0]
             checked += 1
     assert checked > 3000
 
@@ -1007,7 +996,7 @@ def solve_every_candidate(search, w, R):
 
 
 def scan(search, w, R):
-    return search._scan(w, R, search._weight_sums(w), _ratio_order(w, search.rates))
+    return search._scan(_Weighting(search, w), R)
 
 
 def cluster_users(mode, counts=(20, 10), rates=(2.0, 0.5)):
@@ -1097,7 +1086,7 @@ def test_user_centric_scan_goes_on_while_the_backhaul_is_not_reached():
         w = np.array([u.weight for u in users])
         search = PlacementSearch(users, sys, URBAN)
         objectives = solve_every_candidate(search, w, sys.backhaul_mbps)
-        weight = search._weight_sums(w).reshape(-1)
+        weight = _Weighting(search, w).sum_w.reshape(-1)
         heaviest = int(np.argmax(weight))
         assert weight[heaviest] >= sys.backhaul_mbps
         assert objectives[heaviest] < np.max(objectives) - TIE_EPS
@@ -1127,15 +1116,17 @@ def test_a_large_rate_class_keeps_the_exact_solves_small():
 
 def test_weight_sums_are_kept_per_weighting(monkeypatch):
     """A sweep solves one weighting at many backhaul values, and each
-    candidate's eligible weight depends on the weighting alone: it is summed
-    once, and again only when the weighting changes."""
+    candidate's eligible weight and the scan's order depend on the
+    weighting alone: they are built once, and again only when the
+    weighting changes."""
+    from droneplace import placement
+
     sys = small_system()
     users = scattered_users(np.random.default_rng(9), 15)
     rates = [u.rate_mbps for u in users]
     want = [PlacementSearch(users, sys, URBAN).place(2.0, weights=w) for w in (None, rates)]
     sums = []
-    weight_sums = PlacementSearch._weight_sums
-    monkeypatch.setattr(PlacementSearch, "_weight_sums", lambda self, w: sums.append(1) or weight_sums(self, w))
+    monkeypatch.setattr(placement, "_Weighting", lambda search, w: sums.append(1) or _Weighting(search, w))
     search = PlacementSearch(users, sys, URBAN)
     for R in (1.0, 2.0, 4.0):
         search.place(R)
@@ -1143,6 +1134,72 @@ def test_weight_sums_are_kept_per_weighting(monkeypatch):
     assert search.place(2.0, weights=rates) == want[1]
     assert search.place(2.0) == want[0]
     assert len(sums) == 3
+
+
+def test_class_fill_matches_the_fill_of_the_users():
+    """The backhaul-side fill of class counts equals the fill of the users
+    they count, within 1e-9, on random eligibility rows: weights whose
+    weight per rate differs by class, equals 1 throughout (user-centric) or
+    ties across some classes, at caps of 0, past every user, at each
+    class's whole weight and in between."""
+    users = scattered_users(np.random.default_rng(41), 60)
+    search = PlacementSearch(users, small_system(), URBAN)
+    r = search.rates
+    rows = np.random.default_rng(43).random((200, len(users))) < np.linspace(0.0, 1.0, 200)[:, None]
+    per_rate = {0.1: 1.0, 0.5: 1.0, 1.0: 1.0, 1.5: 1.5, 2.0: 2.0}  # three classes tie at 1
+    for w in (np.ones(len(r)), r.copy(), np.array([per_rate[v] for v in r])):
+        wt = _Weighting(search, w)
+        assert wt.class_w is not None
+        by = _ratio_order(w, r)
+        for cap in (0.0, float(np.sum(r)) + 1.0, *np.cumsum(search.class_rates * np.bincount(search.user_class)),
+                    *np.random.default_rng(47).uniform(0.0, np.sum(r), 5)):
+            want = _fill(rows[:, by], w[by], r[by], cap)[0]
+            got = wt.rate_fill(rows @ search._one_hot, cap)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-9), cap
+
+
+def test_user_rows_give_the_class_counts_placement(monkeypatch):
+    """With class counts off, as for a weighting whose rate classes do not
+    weigh alike, the screens read users; every placement is the same."""
+    from droneplace import placement
+
+    cfg = load_config()
+    for seed in (4, 14):
+        for mode in ("network_centric", "user_centric"):
+            users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
+            classes = PlacementSearch(users, cfg.system, cfg.environment)
+            with monkeypatch.context() as m:
+                m.setattr(placement, "MAX_CLASSES", 0)
+                rows = PlacementSearch(users, cfg.system, cfg.environment)
+            for R in (30.0, 80.0, 170.0):
+                assert classes.place(R) == rows.place(R)
+            assert classes._weighting.class_w is not None and rows._weighting.class_w is None
+
+
+def test_solvers_and_a_warm_place_leave_no_cyclic_garbage():
+    """Neither solver nor a second ``place`` leaves garbage only the cycle
+    collector frees: a self-referring search closure once kept every
+    solve's bound tables alive until a full collection."""
+    import gc
+
+    cfg = load_config()
+    users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, 4, "network_centric")
+    search = PlacementSearch(users, cfg.system, cfg.environment)
+    problem = SelectionInstance([1.0] * 6, [0.1, 0.5, 1.0, 1.5, 2.0, 0.5], [0.1, 0.2, 0.3, 0.1, 0.2, 0.3], 2.0, 0.5)
+    search.place()
+    gc.disable()
+    try:
+        gc.collect()
+        solve_bnb(problem)
+        assert gc.collect() == 0
+        solve_value(problem)
+        solve_value(SelectionInstance(problem.rates_mbps, problem.rates_mbps, problem.bandwidths_mhz, 2.0, 0.5))
+        assert gc.collect() == 0
+        search.place()
+        search.place(30.0, weights=search.rates)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nothing_served_keeps_the_first_candidate():
@@ -1254,3 +1311,8 @@ def test_system_params_validation():
         default_system(grid_step_m=0.0)
     with pytest.raises(ValueError):
         default_system(tx_power_w=0.0)
+    # the selection instances take finite budgets only
+    for budget in ("backhaul_mbps", "bandwidth_mhz"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                default_system(**{budget: bad})

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from droneplace import selection
 from droneplace.selection import (
+    MAX_CLASSES,
     TIE_EPS,
     SelectionInstance,
     _fill,
@@ -12,6 +14,7 @@ from droneplace.selection import (
     _SuffixBounds,
     solve_bnb,
     solve_brute_force,
+    solve_value,
     upper_bound,
 )
 
@@ -173,19 +176,52 @@ def class_heavy_instance(rng, user_centric):
 def test_matches_brute_force_under_heavy_class_repetition():
     """Same-class dominance keeps the lexicographically first optimum, with
     and without a floor: just under the optimum the same selection comes
-    back, and at or above it none does."""
+    back, and at or above it none does. The value-only solve, over class
+    counts in network-centric trials and by the rate-sum DP in
+    user-centric ones, returns the optimum under the same floors."""
     rng = np.random.default_rng(37)
     for trial in range(400):
         problem = class_heavy_instance(rng, user_centric=trial % 2 == 1)
         want = solve_brute_force(problem)
         got = solve_bnb(problem)
         assert (got.selected, got.objective) == (want.selected, want.objective), f"trial {trial}"
+        for floor in (-np.inf, want.objective - 2 * TIE_EPS):
+            assert solve_value(problem, floor) == pytest.approx(want.objective, abs=1e-9), f"trial {trial}"
+        for floor in (want.objective, want.objective + 1.0):
+            assert solve_value(problem, floor) is None, f"trial {trial}"
         if got.nodes_explored == 0 or want.objective == 0.0:
             continue  # everyone or no one fits: settled before any floor applies
         below = solve_bnb(problem, prune_below=want.objective - 2 * TIE_EPS)
         assert below.selected == want.selected, f"trial {trial}"
         assert solve_bnb(problem, prune_below=want.objective) is None, f"trial {trial}"
         assert solve_bnb(problem, prune_below=want.objective + 1.0) is None, f"trial {trial}"
+
+
+def test_value_falls_back_to_the_selection_search_off_the_class_paths(monkeypatch):
+    """Weights equal to rates off every value grid, and more classes than
+    ``MAX_CLASSES``, go to ``solve_bnb``; the paper's two weightings on the
+    default rate set do not. The value is the optimum either way."""
+    calls = []
+    monkeypatch.setattr(selection, "solve_bnb", lambda *a: calls.append(1) or solve_bnb(*a))
+    rng = np.random.default_rng(47)
+    for trial in range(240):
+        kind = ("off_grid", "many_classes", "classes")[trial % 3]
+        n = int(rng.integers(4, 13))
+        if kind == "off_grid":
+            rates = rng.choice([0.15, 0.25, 0.35], n)
+            weights = rates
+        elif kind == "many_classes":
+            steps = np.arange(1, MAX_CLASSES + 2) / 4.0  # one class past the cap
+            rates = rng.permutation(np.append(steps, rng.choice(steps, n)))
+            weights = np.ones(len(rates))
+        else:
+            rates = rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], n)
+            weights = rates if trial % 2 else np.ones(n)
+        bws = rates / (6.4 + 6.6 * rng.random(len(rates)))
+        problem = inst(weights, rates, bws, float(np.sum(rates)) * 0.5, float(np.sum(bws)) * 0.6)
+        calls.clear()
+        assert solve_value(problem) == pytest.approx(solve_brute_force(problem).objective, abs=1e-9)
+        assert bool(calls) == (kind != "classes"), f"trial {trial}"
 
 
 def test_returned_selection_is_feasible():
@@ -262,7 +298,8 @@ def test_bound_is_exact_once_everything_is_fixed():
 
 
 def test_bound_with_unlimited_caps_is_total_weight():
-    problem = inst([1, 2, 3], [2, 1, 0.5], [0.3, 0.2, 0.1], np.inf, np.inf)
+    # caps must be finite; these bind nothing
+    problem = inst([1, 2, 3], [2, 1, 0.5], [0.3, 0.2, 0.1], 1e9, 1e9)
     assert upper_bound(problem, [None, None, None]) == 6.0
 
 
@@ -298,8 +335,9 @@ def test_flip_bounds_are_admissible():
         B = float(np.sum(bws)) * rng.choice([0.0, 0.3, 0.6, 1.2])
         flip = _FlipBounds(weights, rates, bws, R, B)
         best = solve_brute_force(inst(weights, rates, bws, R, B)).objective
-        only_r = solve_brute_force(inst(weights, rates, bws, R, np.inf)).objective
-        only_b = solve_brute_force(inst(weights, rates, bws, np.inf, B)).objective
+        # caps must be finite: one past every sum binds nothing
+        only_r = solve_brute_force(inst(weights, rates, bws, R, float(np.sum(bws)) + 1.0)).objective
+        only_b = solve_brute_force(inst(weights, rates, bws, float(np.sum(rates)) + 1.0, B)).objective
         both_bind += best < min(only_r, only_b) - 1e-9
         assert flip.root >= best - 1e-6
         for i in range(n):
@@ -475,6 +513,18 @@ def test_rejects_negative_resources():
         inst([1, 1], [1, 1], [0.1, 0.1], -1.0, 1.0)
 
 
+def test_rejects_infinite_caps():
+    """Weights equal to rates under an infinite backhaul once overflowed the
+    rate grid's reachable sums, and an infinite need under an infinite
+    bandwidth made the search's remainder NaN; no cap may be infinite."""
+    with pytest.raises(ValueError, match="finite"):
+        inst([1, 2, 1.5], [1, 2, 1.5], [0.6, 0.6, 0.5], np.inf, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        inst([1, 1, 1], [1, 1, 1], [np.inf, 0.6, np.inf], 2.0, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        inst([1], [1], [0.1], np.nan, 1.0)
+
+
 # ---------------------------------------------------------------------
 # large-n oracle: HiGHS on instances harvested from a default-grid scan
 # ---------------------------------------------------------------------
@@ -551,6 +601,9 @@ def test_matches_highs_on_harvested_large_instances():
         res = solve_bnb(instance)
         low, high = milp_objective(instance)
         assert low - 1e-9 <= res.objective <= high + 1e-9
+        value = solve_value(instance)
+        assert value == pytest.approx(res.objective, abs=1e-9)
+        assert low - 1e-9 <= value <= high + 1e-9
         assert np.sum(instance.rates_mbps[list(res.selected)]) <= instance.backhaul_cap_mbps + 1e-9
         assert np.sum(instance.bandwidths_mhz[list(res.selected)]) <= instance.bandwidth_cap_mhz + 1e-9
         n_sizes.append(instance.n)
