@@ -42,7 +42,6 @@ from .selection import (
     SelectionResult,
     solve_bnb,
     solve_brute_force,
-    upper_bound,
 )
 from .users import (
     AreaBounds,
@@ -97,6 +96,5 @@ __all__ = [
     "solve_bnb",
     "solve_brute_force",
     "spectral_efficiency",
-    "upper_bound",
     "write_users_csv",
 ]

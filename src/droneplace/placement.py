@@ -21,17 +21,18 @@ eligible weight sum, highest first. The heaviest is solved on its own, and
 the rest are screened in blocks against that incumbent by an admissible
 upper bound (the fractional-relaxation bound, floored to the weight grid);
 only a candidate whose bound can beat the incumbent is solved exactly, for
-its value alone (:func:`~droneplace.selection.solve_value`). In both of
-the paper's weightings users of one required rate weigh alike, so the
-backhaul-side bounds read each candidate's eligible users per rate class,
-counted with the geometry, instead of the users themselves. The scan
-stops at the first whose weight sum, capped by the backhaul-side bound of
-all users together, cannot; with user-centric weights that is usually
-right after the first solve. Pruning never changes the maximum, and the
-scan's order cannot change the result: a margin stage then applies steps 2
-and 3 over every candidate, reading only the maximum from the scan, and
-builds the winner's served set with one
-:func:`~droneplace.selection.solve_bnb` call. Both run on the calling
+its value alone (:func:`~droneplace.selection.solve_value`). The
+weight-side and backhaul-side bounds read each candidate's eligible users
+per rate class, counted with the geometry, each class weighing as its
+heaviest user: in both of the paper's weightings users of one required
+rate weigh alike, so that is exact, and for any other weighting it only
+loosens the bounds. The scan stops at the first whose weight sum, capped
+by the backhaul-side bound of all users together, cannot; with
+user-centric weights that is usually right after the first solve.
+Pruning never changes the maximum, and the scan's order cannot change the
+result: a margin stage then applies steps 2 and 3 over every candidate,
+reading only the maximum from the scan, and builds the winner's served set
+with one :func:`~droneplace.selection.solve_bnb` call. Both run on the calling
 thread. One search is one point of the experiment drivers, which spread
 their points over processes; a single placement starts none.
 
@@ -57,7 +58,6 @@ import numpy as np
 
 from .channel import EnvironmentParams, pathloss_db, spectral_efficiency
 from .selection import (
-    MAX_CLASSES,
     TIE_EPS,
     SelectionInstance,
     SelectionResult,
@@ -220,46 +220,36 @@ class _Weighting:
     """One weighting's tables on a search, kept while a sweep solves it at
     many backhaul values.
 
-    ``w`` holds the users' weights; ``sum_w`` each candidate's eligible
-    weight, (n_xy, n_h), and ``order`` the candidates by it, highest first,
-    ties in grid order: the scan's order. When every rate class of the
-    search weighs alike, ``class_w`` holds the class weights and the
-    backhaul-side fills read class counts (:meth:`PlacementSearch._items`);
-    else it is None, and they read eligibility rows. ``item_w`` weighs what
-    the fills read, and ``everyone`` is all users in that form.
+    ``w`` holds the users' weights and ``class_w`` the heaviest weight in
+    each rate class of the search. In both of the paper's weightings that
+    is every user's weight in the class; for any other it bounds them, so
+    what reads ``class_w`` is an upper bound, and exact values come from
+    ``w``. ``sum_w`` is each candidate's eligible weight by class,
+    (n_xy, n_h), and ``order`` the candidates by it, highest first, ties in
+    grid order: the scan's order. ``everyone`` is the class counts of all
+    users.
     """
 
     def __init__(self, search, w):
         self.w = w
         self.key = w.tobytes()
-        self.class_w = None
-        if search._one_hot is not None:
-            class_w = np.zeros(len(search.class_rates))
-            class_w[search.user_class] = w
-            if np.array_equal(class_w[search.user_class], w):
-                self.class_w = class_w
-        if self.class_w is not None:
-            self.item_w, rates = self.class_w, search.class_rates
-            self.sum_w = search.class_counts @ self.class_w
-            self.everyone = search._one_hot.sum(axis=0)[None]
-        else:
-            self.item_w, rates = w, search.rates
-            self.sum_w = np.stack([el @ w for el in search.eligible], axis=1)
-            self.everyone = np.ones((1, len(w)), dtype=bool)
+        self.class_w = np.zeros(len(search.class_rates))
+        np.maximum.at(self.class_w, search.user_class, w)
+        self.sum_w = search.class_counts @ self.class_w
+        self.everyone = search._one_hot.sum(axis=0)[None]
         # weight per rate does not depend on position: one item order serves every row
-        self._by_ratio = _ratio_order(self.item_w, rates)
-        self._w_g, self._r_g = self.item_w[self._by_ratio], rates[self._by_ratio]
+        self._by_ratio = _ratio_order(self.class_w, search.class_rates)
+        self._w_g, self._r_g = self.class_w[self._by_ratio], search.class_rates[self._by_ratio]
         self.order = np.argsort(-self.sum_w.reshape(-1), kind="stable")
 
-    def rate_fill(self, items, R: float) -> np.ndarray:
+    def rate_fill(self, counts, R: float) -> np.ndarray:
         """Backhaul-side fractional fill (:func:`~droneplace.selection._fill`)
-        of each row of ``items``. A class of k users is one item of k times
-        their weight and rate, with the same weight per rate, so the fill is
-        the same up to rounding."""
-        items = items[:, self._by_ratio]
-        if self.class_w is None:
-            return _fill(items, self._w_g, self._r_g, R)[0]
-        return _fill(items > 0, items * self._w_g, items * self._r_g, R)[0]
+        of each row of class ``counts``. A class of k users is one item of k
+        times its weight and rate, with the same weight per rate, so the
+        fill is that of its users up to rounding, or bounds it where they
+        weigh less than ``class_w``."""
+        counts = counts[:, self._by_ratio]
+        return _fill(counts > 0, counts * self._w_g, counts * self._r_g, R)[0]
 
 
 class PlacementSearch:
@@ -335,16 +325,15 @@ class PlacementSearch:
         # freed heap
         self.eligible = [np.empty((n_xy, n), dtype=bool) for _ in self.hs]  # (n_xy, n)
         # rate classes: users needing one rate weigh alike in both of the
-        # paper's weightings, so the backhaul-side screens can count each
-        # candidate's eligible users per class instead of reading them.
-        # float32 holds the counts exactly, and casting a boolean block to
-        # it and multiplying costs about half what float64 does
+        # paper's weightings, so the screens count each candidate's eligible
+        # users per class, each class weighing as its heaviest user (see
+        # _Weighting), instead of reading them. float32 holds the counts
+        # exactly, and casting a boolean block to it and multiplying costs
+        # about half what float64 does
         self.class_rates, self.user_class = np.unique(self.rates, return_inverse=True)
         n_cls = len(self.class_rates)
-        self._one_hot = None
-        if n_cls <= MAX_CLASSES:
-            self._one_hot = (self.user_class[:, None] == np.arange(n_cls)).astype(np.float32)  # (n, n_cls)
-            self.class_counts = np.empty((n_xy, len(self.hs), n_cls), dtype=np.float32)
+        self._one_hot = (self.user_class[:, None] == np.arange(n_cls)).astype(np.float32)  # (n, n_cls)
+        self.class_counts = np.empty((n_xy, len(self.hs), n_cls), dtype=np.float32)
         # squared horizontal distance of every (x, y) grid row to every user,
         # a block of rows at a time; exact pathloss only in each layer's shell
         for lo in range(0, n_xy, _GEOMETRY_ROWS):
@@ -359,8 +348,7 @@ class PlacementSearch:
                     dist = np.hypot(dx.reshape(-1)[shell], dy.reshape(-1)[shell])
                     pl = pathloss_db(dist, float(h), env, sys.carrier_hz)
                     el.reshape(-1)[shell] = pl <= sys.pl_max_db
-                if self._one_hot is not None:
-                    self.class_counts[rows, lay] = el.astype(np.float32) @ self._one_hot
+                self.class_counts[rows, lay] = el.astype(np.float32) @ self._one_hot
         # bandwidth needs computed so far: per layer, grid row -> slot in
         # _bw, or -1
         self._slot = [np.full(n_xy, -1) for _ in self.hs]
@@ -437,41 +425,27 @@ class PlacementSearch:
         target = self._scan(self._weighting, R)
         return self._widest_margin(target, self._weighting, R)
 
-    def _items(self, wt, rows, lays):
-        """Candidates' eligible users as ``wt.rate_fill`` reads them: class
-        counts (rows, n_cls) when ``wt`` has classes, else eligibility rows
-        (rows, n). ``lays`` is one layer or one per row."""
-        if wt.class_w is not None:
-            return self.class_counts[rows, lays]
-        lays = np.broadcast_to(lays, np.shape(rows))
-        el = np.empty((len(rows), len(self.users)), dtype=bool)
-        for lay in range(len(self.hs)):
-            at = lays == lay
-            el[at] = self.eligible[lay][rows[at]]
-        return el
-
     def _scan(self, wt, R: float) -> float:
         """The maximum objective over all candidates, found best-first.
 
-        Candidates go by their eligible weight ``wt.sum_w``, highest first
-        (ties in grid order, ``wt.order``). The first, the heaviest, is
-        solved on its own, so every later block of ``_CHUNK`` candidates is
-        screened against a solved incumbent (Land and Doig's incumbent-first
-        rule). A candidate's weight is bounded by ``top``, the backhaul-side
-        fractional fill (``wt.rate_fill``) of all users, rounded down to the
-        weight grid: the fill only grows with the item set. The scan stops
-        at the first candidate whose weight, so capped, cannot beat the
-        incumbent; with user-centric weights that is usually right after the
-        first solve, once it reaches R. Within a block the bandwidth-free
-        test goes first: a candidate whose own backhaul-side fill, so
-        rounded, cannot beat the incumbent is dropped before its link
-        budgets are read; it reads class counts, not users, when the
-        weighting has classes. Any other goes to
-        :func:`~droneplace.selection.solve_value` only if the smaller of its
-        backhaul- and bandwidth-side fills, so rounded, beats the incumbent
-        (each row sorts its own items for the bandwidth side). No candidate
-        comes back: the margin stage finds its own. The scan runs on the
-        calling thread.
+        Candidates go by their eligible weight by class ``wt.sum_w``,
+        highest first (ties in grid order, ``wt.order``). The first, the
+        heaviest, is solved on its own, so every later block of ``_CHUNK``
+        candidates is screened against a solved incumbent (Land and Doig's
+        incumbent-first rule). A candidate's weight is bounded by ``top``,
+        the backhaul-side fractional fill (``wt.rate_fill``) of all users,
+        rounded down to the weight grid: the fill only grows with the item
+        set. The scan stops at the first candidate whose weight, so capped,
+        cannot beat the incumbent; with user-centric weights that is
+        usually right after the first solve, once it reaches R. Within a
+        block the bandwidth-free test goes first: a candidate whose own
+        backhaul-side fill, so rounded, cannot beat the incumbent is dropped
+        before its link budgets are read; it reads class counts, not users.
+        Any other goes to :func:`~droneplace.selection.solve_value` only if
+        the smaller of its backhaul- and bandwidth-side fills, so rounded,
+        beats the incumbent (each row sorts its own items for the bandwidth
+        side, over the users' own weights). No candidate comes back: the
+        margin stage finds its own. The scan runs on the calling thread.
         """
         B = self.sys.bandwidth_mhz
         n_h = len(self.hs)
@@ -493,7 +467,7 @@ class PlacementSearch:
             if not len(blk):
                 break
             rows, lays = np.divmod(blk, n_h)
-            lp = wt.rate_fill(self._items(wt, rows, lays), R)
+            lp = wt.rate_fill(self.class_counts[rows, lays], R)
             # only rows the backhaul side leaves open can be solved, so only
             # they get link budgets
             open_ = np.flatnonzero(_grid_floor(lp + _LP_ROOM, q) > skip_at)
@@ -594,16 +568,16 @@ class PlacementSearch:
         :meth:`_widest_margin`). Then, before anything else, a candidate goes
         whose whole eligible set's fill falls short by more than twice the
         room: the fill is monotone in the item set, so the distance screen
-        would drop it too, and this test is cheaper; with classes it reads
-        the candidate's class counts. Rows go in blocks so the temporaries
-        stay small.
+        would drop it too, and this test is cheaper: it reads the
+        candidate's class counts. Rows go in blocks so the temporaries stay
+        small.
         """
         candidates = np.flatnonzero(wt.sum_w[:, lay] >= target - 2 * TIE_EPS)
         rows, lower = [candidates[:0]], [np.empty(0)]
         for lo in range(0, len(candidates), _CHUNK):
             blk = candidates[lo:lo + _CHUNK]
             if fill is not None:
-                blk = blk[wt.rate_fill(self._items(wt, blk, lay), fill) >= target - 2 * _LP_ROOM]
+                blk = blk[wt.rate_fill(self.class_counts[blk, lay], fill) >= target - 2 * _LP_ROOM]
             near, lb = self._distance_screen(lay, blk, wt, target, cut, fill)
             rows.append(blk[near])
             lower.append(lb)
@@ -641,9 +615,10 @@ class PlacementSearch:
           or under ``d*``, the returned bound, is at most the exact bound.
 
         The slack covers the float error of 1/zeta, of a key against it, and
-        of squared distances against ``np.hypot``, many times over. With
-        classes, the weight and the fill within the radius come from the
-        users' class counts there.
+        of squared distances against ``np.hypot``, many times over. The
+        weight and the fill within the radius come from the users' class
+        counts there, by ``wt.class_w``, so they only bound the users' own;
+        ``d*`` sums the users' own weights.
         """
         w = wt.w
         steps2, inv_zeta = self._steps2, self._inv_zeta[lay]
@@ -654,10 +629,8 @@ class PlacementSearch:
         dy = self._gy[rows, None] - self._uy
         d2 = dx * dx + dy * dy
         el = self.eligible[lay][rows]
-        inside = el & (d2 <= r2)
-        if wt.class_w is not None:
-            inside = inside.astype(np.float32) @ self._one_hot  # class counts within the radius
-        near = inside @ wt.item_w >= carry
+        inside = (el & (d2 <= r2)).astype(np.float32) @ self._one_hot  # class counts within the radius
+        near = inside @ wt.class_w >= carry
         if fill is not None:
             kept = np.flatnonzero(near)
             near[kept] = wt.rate_fill(inside[kept], fill) >= target - _LP_ROOM

@@ -216,41 +216,9 @@ def _ray_fills(w, costs, caps):
     return _fill(taken, w[order], np.take_along_axis(costs, order, axis=1), caps)
 
 
-def upper_bound(inst: SelectionInstance, fixed) -> float:
-    """Admissible bound on the best completion of a partial assignment.
-
-    ``fixed`` maps user index -> bool (or is a full-length sequence with None
-    for undecided users). The bound is the included weight plus the smallest
-    fractional fill (:func:`_fill`) of the free users over the rays of
-    :func:`_rays` (the remaining backhaul, the remaining bandwidth and their
-    mixed surrogates); it never undercuts the best feasible completion, and
-    with every variable fixed it returns the exact objective.
-    """
-    n = inst.n
-    state = np.full(n, -1, dtype=int)  # -1 free / 0 out / 1 in
-    if isinstance(fixed, dict):
-        for i, v in fixed.items():
-            state[i] = 1 if v else 0
-    else:
-        for i, v in enumerate(fixed):
-            if v is not None:
-                state[i] = 1 if v else 0
-    inc = state == 1
-    value = float(np.sum(inst.weights[inc]))
-    r_rem = inst.backhaul_cap_mbps - float(np.sum(inst.rates_mbps[inc]))
-    b_rem = inst.bandwidth_cap_mhz - float(np.sum(inst.bandwidths_mhz[inc]))
-    if r_rem < -FEAS_EPS or b_rem < -FEAS_EPS:
-        raise ValueError("fixed assignment already violates a capacity")
-    free = state == -1
-    if not np.any(free):
-        return value
-    _, costs, caps = _rays(inst.rates_mbps[free], inst.bandwidths_mhz[free], r_rem, b_rem)
-    return value + float(np.min(_ray_fills(inst.weights[free], costs, caps)[0]))
-
-
 def _value_grid(weights) -> float | None:
-    """Detect whether all weights sit on a coarse value grid (1 or 0.1)."""
-    for q in (1.0, 0.1):
+    """Detect whether all weights sit on a coarse value grid (1, 0.1 or 0.01)."""
+    for q in (1.0, 0.1, 0.01):
         scaled = weights / q
         if np.all(np.abs(scaled - np.round(scaled)) <= 1e-9):
             return q
@@ -725,10 +693,11 @@ def solve_value(inst: SelectionInstance, prune_below: float = -math.inf) -> floa
     ch. 7). Caps get ``_SEARCH_EPS`` of slack, as in :func:`solve_bnb`.
 
     - When weights differ from rates: :class:`_CountSearch`.
-    - When every weight equals its rate and the rates sit on a value grid,
-      the backhaul-side fill bounds nothing below R, and a DP runs instead:
-      the least bandwidth for each reachable rate sum in grid units
-      (:func:`_least_needs`); the optimum is the largest sum within B.
+    - When every weight equals its rate and the rates sit on a value grid
+      (:func:`_value_grid`: 1, 0.1 or 0.01), the backhaul-side fill bounds
+      nothing below R, and a DP runs instead: the least bandwidth for each
+      reachable rate sum in grid units (:func:`_least_needs`); the optimum
+      is the largest sum within B.
     - Otherwise, with more than ``MAX_CLASSES`` classes, rates off the
       grid, or a DP wider than ``_MAX_UNITS``: :func:`solve_bnb`.
 

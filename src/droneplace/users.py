@@ -10,6 +10,7 @@ selection weight assigned later by the optimization mode.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +64,8 @@ class User:
     weight: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_m, self.y_m, self.rate_mbps, self.weight))):
+            raise ValueError("x_m, y_m, rate_mbps and weight must be finite")
         if self.rate_mbps <= 0:
             raise ValueError("rate_mbps must be positive")
         if self.weight <= 0:

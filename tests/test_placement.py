@@ -1,5 +1,7 @@
 """Grid construction, single-position evaluation, and the full 3D search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -864,17 +866,25 @@ def test_the_cut_radius_holds_at_the_table_steps_with_an_unlowered_table(monkeyp
 # ---------------------------------------------------------------------
 
 
-def scattered_users(rng, n, span=600.0, weighted=False):
+def scattered_users(rng, n, span=600.0, weighted=False, rates=None):
+    """``n`` users uniform on a square; rates drawn from the default set, or
+    ``rates`` in turn."""
+    if rates is None:
+        rates = rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], n)
     users = [
         User(
             id=i,
             x_m=float(rng.uniform(0, span)),
             y_m=float(rng.uniform(0, span)),
-            rate_mbps=float(rng.choice([0.1, 0.5, 1.0, 1.5, 2.0])),
+            rate_mbps=float(rates[i]),
         )
         for i in range(n)
     ]
     return assign_weights(users, "user_centric" if weighted else "network_centric")
+
+
+# more rate classes than solve_value's count solvers take
+TEN_RATES = (0.1, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 2.0)
 
 
 def widest_margin_oracle(users, sys, solve=solve_brute_force, candidates=None):
@@ -915,10 +925,20 @@ def widest_margin_oracle(users, sys, solve=solve_brute_force, candidates=None):
 
 
 def test_matches_an_exhaustive_scan_of_the_grid():
+    """Default-rate users in both modes; users of all ten rates of a larger
+    set in both modes; and network-centric users whose weights vary within
+    a rate class, where the screens' class weights only bound the users'."""
     sys = small_system(backhaul_mbps=2.0)
     rng = np.random.default_rng(5)
-    for trial in range(5):
-        users = scattered_users(rng, 8, weighted=trial % 2 == 0)
+    for trial in range(11):
+        if trial < 5:
+            users = scattered_users(rng, 8, weighted=trial % 2 == 0)
+        elif trial < 8:
+            rates = rng.permutation(np.append(TEN_RATES, rng.choice(TEN_RATES, 2)))
+            users = scattered_users(rng, 12, weighted=trial % 2 == 0, rates=rates)
+        else:
+            users = [replace(u, weight=float(rng.choice([0.5, 1.0, 1.5, 2.0])))
+                     for u in scattered_users(rng, 10)]
         got = optimal_placement(users, sys, URBAN)
         placement, objective, served = widest_margin_oracle(users, sys)
         assert got.objective == pytest.approx(objective, abs=1e-9)
@@ -1141,39 +1161,29 @@ def test_class_fill_matches_the_fill_of_the_users():
     they count, within 1e-9, on random eligibility rows: weights whose
     weight per rate differs by class, equals 1 throughout (user-centric) or
     ties across some classes, at caps of 0, past every user, at each
-    class's whole weight and in between."""
+    class's whole weight and in between. With weights that vary within a
+    class, each class weighs as its heaviest user, and the class fill
+    bounds the users' fill on every row."""
     users = scattered_users(np.random.default_rng(41), 60)
     search = PlacementSearch(users, small_system(), URBAN)
     r = search.rates
     rows = np.random.default_rng(43).random((200, len(users))) < np.linspace(0.0, 1.0, 200)[:, None]
     per_rate = {0.1: 1.0, 0.5: 1.0, 1.0: 1.0, 1.5: 1.5, 2.0: 2.0}  # three classes tie at 1
-    for w in (np.ones(len(r)), r.copy(), np.array([per_rate[v] for v in r])):
+    varying = np.random.default_rng(53).choice([0.5, 1.0, 1.5, 2.0], len(r))
+    for w in (np.ones(len(r)), r.copy(), np.array([per_rate[v] for v in r]), varying):
         wt = _Weighting(search, w)
-        assert wt.class_w is not None
+        heaviest = [np.max(w[search.user_class == k]) for k in range(len(search.class_rates))]
+        assert np.array_equal(wt.class_w, heaviest)
+        assert np.array_equal(wt.class_w[search.user_class], w) == (w is not varying)
         by = _ratio_order(w, r)
         for cap in (0.0, float(np.sum(r)) + 1.0, *np.cumsum(search.class_rates * np.bincount(search.user_class)),
                     *np.random.default_rng(47).uniform(0.0, np.sum(r), 5)):
             want = _fill(rows[:, by], w[by], r[by], cap)[0]
             got = wt.rate_fill(rows @ search._one_hot, cap)
-            assert np.allclose(got, want, rtol=0.0, atol=1e-9), cap
-
-
-def test_user_rows_give_the_class_counts_placement(monkeypatch):
-    """With class counts off, as for a weighting whose rate classes do not
-    weigh alike, the screens read users; every placement is the same."""
-    from droneplace import placement
-
-    cfg = load_config()
-    for seed in (4, 14):
-        for mode in ("network_centric", "user_centric"):
-            users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
-            classes = PlacementSearch(users, cfg.system, cfg.environment)
-            with monkeypatch.context() as m:
-                m.setattr(placement, "MAX_CLASSES", 0)
-                rows = PlacementSearch(users, cfg.system, cfg.environment)
-            for R in (30.0, 80.0, 170.0):
-                assert classes.place(R) == rows.place(R)
-            assert classes._weighting.class_w is not None and rows._weighting.class_w is None
+            if w is varying:
+                assert np.all(got >= want - 1e-9), cap
+            else:
+                assert np.allclose(got, want, rtol=0.0, atol=1e-9), cap
 
 
 def test_solvers_and_a_warm_place_leave_no_cyclic_garbage():

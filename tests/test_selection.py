@@ -15,7 +15,6 @@ from droneplace.selection import (
     solve_bnb,
     solve_brute_force,
     solve_value,
-    upper_bound,
 )
 
 
@@ -200,28 +199,37 @@ def test_matches_brute_force_under_heavy_class_repetition():
 def test_value_falls_back_to_the_selection_search_off_the_class_paths(monkeypatch):
     """Weights equal to rates off every value grid, and more classes than
     ``MAX_CLASSES``, go to ``solve_bnb``; the paper's two weightings on the
-    default rate set do not. The value is the optimum either way."""
-    calls = []
+    default rate set do not, and weights equal to rates on the 0.01 grid
+    take the rate-sum DP. The value is the optimum either way."""
+    calls, dp = [], []
     monkeypatch.setattr(selection, "solve_bnb", lambda *a: calls.append(1) or solve_bnb(*a))
+    least_needs = selection._least_needs
+    monkeypatch.setattr(selection, "_least_needs", lambda *a: dp.append(1) or least_needs(*a))
     rng = np.random.default_rng(47)
     for trial in range(240):
-        kind = ("off_grid", "many_classes", "classes")[trial % 3]
+        kind = ("off_grid", "many_classes", "classes", "fine_grid")[trial % 4]
         n = int(rng.integers(4, 13))
         if kind == "off_grid":
-            rates = rng.choice([0.15, 0.25, 0.35], n)
+            rates = rng.choice([0.155, 0.255, 0.355], n)
             weights = rates
         elif kind == "many_classes":
             steps = np.arange(1, MAX_CLASSES + 2) / 4.0  # one class past the cap
             rates = rng.permutation(np.append(steps, rng.choice(steps, n)))
             weights = np.ones(len(rates))
+        elif kind == "fine_grid":
+            rates = rng.choice([0.13, 0.57, 1.01, 1.49, 2.03], n)
+            weights = rates
         else:
             rates = rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], n)
-            weights = rates if trial % 2 else np.ones(n)
+            weights = rates if trial // 4 % 2 else np.ones(n)
         bws = rates / (6.4 + 6.6 * rng.random(len(rates)))
         problem = inst(weights, rates, bws, float(np.sum(rates)) * 0.5, float(np.sum(bws)) * 0.6)
         calls.clear()
+        dp.clear()
         assert solve_value(problem) == pytest.approx(solve_brute_force(problem).objective, abs=1e-9)
-        assert bool(calls) == (kind != "classes"), f"trial {trial}"
+        assert bool(calls) == (kind in ("off_grid", "many_classes")), f"trial {trial}"
+        if kind == "fine_grid":
+            assert dp, f"trial {trial}"
 
 
 def test_returned_selection_is_feasible():
@@ -288,33 +296,6 @@ def test_weight_scaling_keeps_the_selected_set():
 # ---------------------------------------------------------------------
 # bounding rule
 # ---------------------------------------------------------------------
-
-
-def test_bound_is_exact_once_everything_is_fixed():
-    problem = inst([1, 1, 1], [2, 1, 0.5], [0.3, 0.2, 0.1], 2.5, 15.0)
-    assert upper_bound(problem, [True, False, True]) == 2.0
-    assert upper_bound(problem, {0: True, 1: False, 2: True}) == 2.0
-    assert upper_bound(problem, [False, False, False]) == 0.0
-
-
-def test_bound_with_unlimited_caps_is_total_weight():
-    # caps must be finite; these bind nothing
-    problem = inst([1, 2, 3], [2, 1, 0.5], [0.3, 0.2, 0.1], 1e9, 1e9)
-    assert upper_bound(problem, [None, None, None]) == 6.0
-
-
-def test_bound_never_undercuts_the_optimum():
-    rng = np.random.default_rng(37)
-    for _ in range(100):
-        problem = random_instance(rng, n=int(rng.integers(1, 13)))
-        best = solve_brute_force(problem).objective
-        assert upper_bound(problem, {}) >= best - 1e-9
-
-
-def test_bound_rejects_infeasible_partial_assignments():
-    problem = inst([1, 1], [2, 1], [0.3, 0.2], 1.5, 15.0)
-    with pytest.raises(ValueError, match="capacity"):
-        upper_bound(problem, [True, True])
 
 
 def test_flip_bounds_are_admissible():

@@ -167,6 +167,25 @@ def test_user_validation():
         User(id=0, x_m=0.0, y_m=0.0, rate_mbps=0.0)
     with pytest.raises(ValueError):
         User(id=0, x_m=0.0, y_m=0.0, rate_mbps=1.0, weight=0.0)
+    for field in ("x_m", "y_m", "rate_mbps", "weight"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                User(**{**dict(id=0, x_m=0.0, y_m=0.0, rate_mbps=1.0, weight=1.0), field: bad})
+
+
+def test_csv_rows_holding_nan_are_rejected(tmp_path):
+    """A NaN position would leave the user silently unserved, and a NaN rate
+    or weight passes every sign check; reading such a row fails instead."""
+    users = sample_users(BOUNDS, CLUSTER, RATES, seed=13)[:3]
+    path = tmp_path / "users.csv"
+    write_users_csv(users, path)
+    good = path.read_text().splitlines()
+    for column in range(1, 5):
+        row = good[2].split(",")
+        row[column] = "nan"
+        path.write_text("\n".join([*good[:2], ",".join(row), *good[3:]]) + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            read_users_csv(path)
 
 
 def test_bounds_and_cluster_validation():

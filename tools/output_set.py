@@ -7,6 +7,9 @@ script), and writes under OUTDIR:
 
 - ``place_network_centric/`` and ``place_user_centric/``: ``place`` for
   population seeds 0-63;
+- ``place_ten_rates_network_centric/`` and ``place_ten_rates_user_centric/``:
+  ``place`` for seeds 0-7 over a 10-value rate set (0.1, 0.3, ..., 1.7,
+  2.0 Mbps), more rate classes than the value-only count solvers take;
 - ``sweep_threads1/`` and ``sweep_threads2/``: network-centric
   ``sweep-backhaul`` for seeds 0 and 1, one seed per invocation, at
   ``--threads`` 1 and 2;
@@ -47,6 +50,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PLACE_SEEDS = range(64)
+TEN_RATES_SEEDS = range(8)
+TEN_RATES = "rate_set_mbps=[0.1,0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,2.0]"
 SWEEP_SEEDS = (0, 1)
 
 
@@ -55,6 +60,9 @@ def invocations(out: Path):
         for seed in PLACE_SEEDS:
             yield ["place", "--mode", mode, "--seed", str(seed),
                    "--output-dir", str(out / f"place_{mode}")]
+        for seed in TEN_RATES_SEEDS:
+            yield ["place", "--mode", mode, "--seed", str(seed), "--set", TEN_RATES,
+                   "--output-dir", str(out / f"place_ten_rates_{mode}")]
     for threads in (1, 2):
         for seed in SWEEP_SEEDS:
             yield ["sweep-backhaul", "--mode", "network_centric", "--seed", str(seed),
