@@ -168,6 +168,9 @@ def _cmd_place(cfg: RunConfig, out: _OutputSet, verbose: bool) -> None:
         eligible = sum(int(np.count_nonzero(el)) for el in search.eligible)
         print(f"  link budgets computed for {search.links_computed} of {eligible} "
               f"eligible links, {search.rows_computed} of {search.n_candidates} candidates")
+        print(f"  margin stage: {search.tiles_screened} tiles screened, {search.tiles_expanded} "
+              f"expanded, {search.rows_screened} rows screened, {search.rescreens} re-screens, "
+              f"{search.margin_cuts} margin cuts")
 
 
 def _meta_extra(cfg: RunConfig) -> dict:

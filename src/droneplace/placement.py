@@ -43,16 +43,19 @@ threshold: a user inside the inner one is eligible, one beyond the outer
 one is not, and exact pathloss decides only in the thin shell between
 them. A link's bandwidth need is computed on demand, for the grid rows a
 screen actually reads (:meth:`PlacementSearch.bw_rows`); the screens that
-need no bandwidth go first. The margin stage orders each layer's
-candidates by a lower bound taken from distances alone, the same table's
-1/zeta (:meth:`PlacementSearch._distance_screen`), and reads link budgets
-only for the candidates it visits before that bound passes its cut.
+need no bandwidth go first. The margin stage visits each layer's
+candidates best-first by a lower bound taken from distances alone, the same
+table's 1/zeta (:meth:`PlacementSearch._screen`), bounding tiles of grid
+rows before it splits them into rows, and reads link budgets only for the
+candidates it visits before that bound passes its cut.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +76,7 @@ from .users import AreaBounds
 
 _CHUNK = 256  # candidates per screening block
 _GEOMETRY_ROWS = 128  # grid rows per geometry block
+_TILE = 4  # grid rows per side of a margin-stage tile
 # Fractional bounds hold each budget exactly, but the solvers accept a
 # selection up to _SEARCH_EPS over it, which can be worth weight-per-cost
 # times that much more; screens on those bounds leave this much room.
@@ -319,6 +323,7 @@ class PlacementSearch:
         inner2 *= 1.0 - _SQUARED_SLACK
         outer2 = np.where(np.any(over, axis=1), self._steps2[np.argmax(over, axis=1)], np.inf)
         outer2 *= 1.0 + _SQUARED_SLACK
+        self._outer2 = outer2
         # one array per altitude layer: a single array for all layers raised
         # the resident peak of repeated searches by about 15%, most likely
         # because freeing one chunk that large lets the allocator keep more
@@ -359,6 +364,9 @@ class PlacementSearch:
         self._filled = [0 for _ in self.hs]
         self.rows_computed = 0
         self.links_computed = 0
+        # margin stage: tiles and rows screened, tiles split, re-screens, _margin_cut calls
+        self.tiles_screened = self.tiles_expanded = self.rows_screened = 0
+        self.rescreens = self.margin_cuts = 0
         self._weighting = None  # the last weighting's _Weighting
 
     def bw_rows(self, lay: int, rows) -> np.ndarray:
@@ -505,18 +513,16 @@ class PlacementSearch:
         pathloss cut whose users still reach the target (:func:`_margin_cut`).
         The best cut starts open, at ``inf``. Layers go highest first, since
         high placements usually win and an early tight cut screens out most
-        of the rest. Within a layer, candidates go in order of a lower bound
-        on their own cut (:meth:`_contenders`), until the bound passes the
-        best cut found. The cut tightens as the layer goes on, so each
-        candidate is screened again at the current cut
-        (:meth:`_distance_screen`) before its link budgets are read. An exact
-        tie on the cut goes to the earlier candidate in grid order, so the
-        winner is the least (cut, candidate) whatever order the candidates
-        are visited in. Only the target comes from the scan, so which optimal
-        candidate the scan met first cannot matter. With no user served (a
-        target of 0, since weights are positive) there is no margin to
-        widen, and the first candidate in grid order stands. The winner's
-        served set comes from one ``solve_bnb`` call, at its cut.
+        of the rest. Within a layer, candidates go best-first by a lower
+        bound on their own cut, taken from distances alone, tiles of grid rows
+        before their rows (:meth:`_visit`), until the bound passes the best
+        cut. An exact tie on the cut goes to the earlier candidate in grid
+        order, so the winner is the least (cut, candidate) whatever order the
+        candidates are visited in. Only the target comes from the scan, so
+        which optimal candidate the scan met first cannot matter. With no
+        user served (a target of 0, since weights are positive) there is no
+        margin to widen, and the first candidate in grid order stands. The
+        winner's served set comes from one ``solve_bnb`` call, at its cut.
         """
         B = self.sys.bandwidth_mhz
         w = wt.w
@@ -532,19 +538,18 @@ class PlacementSearch:
         fill = R if R * np.min(w / self.rates) < target - _LP_ROOM else None
         cut, c = math.inf, None
         for lay in reversed(range(n_h)):
-            for lb, cand in self._contenders(lay, wt, target, cut, fill):
-                if lb > cut or (lb == cut and c is not None and cand > c):
+            for lb, row in self._visit(lay, wt, target, fill, lambda: cut):
+                cand = row * n_h + lay
+                if lb == cut and c is not None and cand > c:
                     break
-                row = cand // n_h
-                if not self._distance_screen(lay, np.array([row]), wt, target, cut, fill)[0][0]:
-                    continue
                 el = self.eligible[lay][row]
+                self.margin_cuts += 1
                 found = _margin_cut(
                     w[el], self.rates[el], self.bw_rows(lay, [row])[0][el], R, B, target,
                     cut, c is None or cand < c,
                 )
                 if found is not None:
-                    (cut, keep), c = found, int(cand)
+                    (cut, keep), c = found, cand
         row, lay = divmod(c, n_h)
         pool = self.eligible[lay][row].copy()
         pool[np.flatnonzero(pool)[~keep]] = False
@@ -552,56 +557,86 @@ class PlacementSearch:
         inst = SelectionInstance(w[pool], self.rates[pool], bw[pool], R, B)
         return c, pool, solve_bnb(inst, prune_below=target - 2 * TIE_EPS)
 
-    def _contenders(self, lay, wt, target: float, cut: float, fill):
-        """One layer's candidates that may reach ``target`` within ``cut``.
+    def _visit(self, lay, wt, target: float, fill, limit):
+        """One layer's grid rows that may reach ``target`` within the cut, best-first.
 
-        Returns an iterator of (bound, candidate) pairs, numpy scalars
-        sorted by bound, then grid order, of the candidates
-        :meth:`_distance_screen` keeps. The visit usually stops after a few,
-        so none are made for the rest: a list of every pair left a
-        user-centric ``place`` loop about 3.5 MiB more resident. The bound is
-        a lower bound on the candidate's own cut, taken from distances
-        alone, so no link budget is read here.
-
-        ``fill`` is None, or the backhaul R when the backhaul-side
-        fractional fill (``wt.rate_fill``) can screen anything (see
-        :meth:`_widest_margin`). Then, before anything else, a candidate goes
-        whose whole eligible set's fill falls short by more than twice the
-        room: the fill is monotone in the item set, so the distance screen
-        would drop it too, and this test is cheaper: it reads the
-        candidate's class counts. Rows go in blocks so the temporaries stay
-        small.
+        Yields (bound, row), by bound and then grid order, while the bound (a
+        lower bound on the row's own cut, :meth:`_screen`) is at most
+        ``limit()``, the caller's cut. One heap holds tiles (:attr:`_tiles`)
+        and rows, keyed (bound, kind, index); a tile's bound is at most its
+        rows', and at an equal bound a tile comes first. The layer's tiles,
+        a popped tile's rows, and a popped row screened at a looser cut with
+        every such row in the heap, are each screened in one call at the cut.
         """
-        candidates = np.flatnonzero(wt.sum_w[:, lay] >= target - 2 * TIE_EPS)
-        rows, lower = [candidates[:0]], [np.empty(0)]
-        for lo in range(0, len(candidates), _CHUNK):
-            blk = candidates[lo:lo + _CHUNK]
-            if fill is not None:
-                blk = blk[wt.rate_fill(self.class_counts[blk, lay], fill) >= target - 2 * _LP_ROOM]
-            near, lb = self._distance_screen(lay, blk, wt, target, cut, fill)
-            rows.append(blk[near])
-            lower.append(lb)
-        rows, lower = np.concatenate(rows), np.concatenate(lower)
-        rank = np.lexsort((rows, lower))
-        return zip(lower[rank], rows[rank] * len(self.hs) + lay)
+        (x_spans, y_spans), d2 = self._tiles
+        near, lb = self._screen(lay, d2, d2 <= self._outer2[lay], wt, target, limit(), fill)
+        self.tiles_screened += len(near)
+        # entries (bound, kind, index, cut screened at): kind 0 a tile, 1 a row
+        heap = sorted((b, 0, t, 0.0) for b, t in zip(lb.tolist(), np.flatnonzero(near).tolist()))
+        while heap:
+            cut = limit()
+            lb, kind, i, at = heapq.heappop(heap)
+            if lb > cut:
+                return
+            if kind == 0:
+                self.tiles_expanded += 1
+                ix, iy = x_spans[i // len(y_spans)], y_spans[i % len(y_spans)]
+                rows = (ix[:, None] * len(self.ys) + iy).reshape(-1)
+                rows = rows[wt.sum_w[rows, lay] >= target - 2 * TIE_EPS]
+                near, lbs = self._distance_screen(lay, rows, wt, target, cut, fill)
+                for b, row in zip(lbs.tolist(), rows[near].tolist()):
+                    heapq.heappush(heap, (b, 1, row, cut))
+            elif at > cut:
+                stale = [(lb, 1, i, at), *(e for e in heap if e[1] and e[3] > cut)]
+                ok = self._distance_screen(lay, np.array([e[2] for e in stale]), wt, target, cut, fill)[0]
+                self.rescreens += 1
+                heap = [e for e in heap if not (e[1] and e[3] > cut)]
+                heap += [(*e[:3], cut) for e, keep in zip(stale, ok) if keep]
+                heapq.heapify(heap)
+            else:
+                yield lb, i
+
+    @cached_property
+    def _tiles(self):
+        """Tiles of ``_TILE`` x ``_TILE`` grid rows, shared by a whole sweep:
+        each tile's x and y tick indices, and the squared distance from its
+        rectangle of ticks to every user, ``max(lo - u, u - hi, 0)`` per axis.
+        Float subtraction rounds monotonically, so no member row is nearer."""
+        spans, gap2 = [], []
+        for ticks, u in ((self.xs, self._ux), (self.ys, self._uy)):
+            lo = np.arange(0, len(ticks), _TILE)
+            hi = np.minimum(lo + _TILE, len(ticks))
+            gap = np.maximum(np.maximum(ticks[lo, None] - u, u - ticks[hi - 1, None]), 0.0)
+            spans.append([np.arange(*ends) for ends in zip(lo, hi)])
+            gap2.append(gap * gap)
+        return spans, (gap2[0][:, None] + gap2[1][None]).reshape(-1, len(self.users))
 
     def _distance_screen(self, lay, rows, wt, target: float, cut: float, fill):
-        """Distance-only screen and lower bounds of grid rows on layer ``lay``.
+        """:meth:`_screen` of grid rows ``rows`` on layer ``lay``."""
+        self.rows_screened += len(rows)
+        dx = self._gx[rows, None] - self._ux
+        dy = self._gy[rows, None] - self._uy
+        return self._screen(lay, dx * dx + dy * dy, self.eligible[lay][rows], wt, target, cut, fill)
 
-        Returns a mask of the rows that may reach ``target`` within ``cut``,
-        and for each kept row a lower bound on its own cut. Reads no link
-        budget. Pathloss, and with it 1/zeta, rises strictly with horizontal
-        distance, and a key ``bw / rates`` is 1/zeta up to a few ulp. The
-        layer's pathloss table (built with the search) gives 1/zeta,
-        lowered by ``_TABLE_SLACK``, at evenly spaced distance steps from 0
-        out to the farthest any link reaches, so:
+    def _screen(self, lay, d2, el, wt, target: float, cut: float, fill):
+        """Distance-only screen and lower bounds on layer ``lay``.
+
+        A row of ``d2`` and ``el`` holds a place's squared distances to the
+        users and the users it counts. Returns a mask of the rows that may
+        reach ``target`` within ``cut``, and for each kept row a lower bound
+        on its own cut. Reads no link budget. Pathloss, and with it 1/zeta,
+        rises strictly with horizontal distance, and a key ``bw / rates`` is
+        1/zeta up to a few ulp. The layer's pathloss table (built with the
+        search) gives 1/zeta, lowered by ``_TABLE_SLACK``, at evenly spaced
+        distance steps from 0 out to the farthest any link reaches, so, for
+        a grid row and its eligible users:
 
         - a user whose key is at or under ``cut`` lies nearer than the
           first step whose table value exceeds ``cut``. The users within
           that radius include every user at or under ``cut``, so a row is
           kept only if they carry ``floor - TIE_EPS`` (``floor`` is
           ``target - 2 * TIE_EPS``) and, when ``fill`` is given (see
-          :meth:`_contenders`), their backhaul-side fractional fill reaches
+          :meth:`_widest_margin`), their backhaul-side fractional fill reaches
           ``target - _LP_ROOM``: weight and fill only grow with the item
           set, and :func:`_margin_cut` rejects a row that misses either at
           its loosest cut;
@@ -614,6 +649,11 @@ class PlacementSearch:
           farther than the bound's user, and the table at the last step at
           or under ``d*``, the returned bound, is at most the exact bound.
 
+        A tile passes its rectangle's distances and the users within the
+        layer's outer radius of it, a superset of each member row's eligible
+        users, none farther: a tile this drops has no row it keeps, and its
+        bound is at most theirs.
+
         The slack covers the float error of 1/zeta, of a key against it, and
         of squared distances against ``np.hypot``, many times over. The
         weight and the fill within the radius come from the users' class
@@ -625,10 +665,6 @@ class PlacementSearch:
         over = np.flatnonzero(inv_zeta > cut)
         r2 = steps2[over[0]] * (1.0 + _SQUARED_SLACK) if len(over) else np.inf
         carry = target - 3 * TIE_EPS
-        dx = self._gx[rows, None] - self._ux
-        dy = self._gy[rows, None] - self._uy
-        d2 = dx * dx + dy * dy
-        el = self.eligible[lay][rows]
         inside = (el & (d2 <= r2)).astype(np.float32) @ self._one_hot  # class counts within the radius
         near = inside @ wt.class_w >= carry
         if fill is not None:

@@ -217,8 +217,8 @@ def _ray_fills(w, costs, caps):
 
 
 def _value_grid(weights) -> float | None:
-    """Detect whether all weights sit on a coarse value grid (1, 0.1 or 0.01)."""
-    for q in (1.0, 0.1, 0.01):
+    """Detect whether all weights sit on a coarse value grid (1, 0.1, 0.01 or 0.001)."""
+    for q in (1.0, 0.1, 0.01, 0.001):
         scaled = weights / q
         if np.all(np.abs(scaled - np.round(scaled)) <= 1e-9):
             return q
@@ -694,7 +694,7 @@ def solve_value(inst: SelectionInstance, prune_below: float = -math.inf) -> floa
 
     - When weights differ from rates: :class:`_CountSearch`.
     - When every weight equals its rate and the rates sit on a value grid
-      (:func:`_value_grid`: 1, 0.1 or 0.01), the backhaul-side fill bounds
+      (:func:`_value_grid`: 1, 0.1, 0.01 or 0.001), the backhaul-side fill bounds
       nothing below R, and a DP runs instead: the least bandwidth for each
       reachable rate sum in grid units (:func:`_least_needs`); the optimum
       is the largest sum within B.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -88,6 +89,16 @@ def test_place_verbose_counts_link_budgets_and_writes_the_same_files(tmp_path, s
     rows, candidates = int(words[9]), int(words[11])
     assert 0 < links <= eligible and 0 < rows <= candidates == 3 * 3 * 2
     assert read_tree(plain) == read_tree(verbose)
+
+
+def test_place_verbose_counts_the_margin_stage(tmp_path, small_cfg, capsys):
+    assert run_cli("place", "--config", small_cfg, "--seed", "0",
+                   "--output-dir", str(tmp_path), "--verbose") == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "margin stage" in s)
+    tiles, split, rows, rescreens, cuts = (int(v) for v in re.findall(r"\d+", line))
+    # the 3 x 3 grid is one tile on each of its two layers
+    assert tiles == 2 and 0 < split <= tiles
+    assert rows > 0 and cuts > 0 and rescreens >= 0
 
 
 def test_place_is_deterministic_across_reruns_and_threads(tmp_path, small_cfg):

@@ -11,9 +11,11 @@ from droneplace.experiments import population
 from droneplace.placement import (
     _LP_ROOM,
     _RADIUS_MARGIN_DB,
+    _TILE,
     Placement,
     PlacementSearch,
     SystemParams,
+    _axis_points,
     _margin_cut,
     _ratio_order,
     _Weighting,
@@ -25,6 +27,7 @@ from droneplace.selection import (
     TIE_EPS,
     SelectionInstance,
     _fill,
+    _value_grid,
     solve_bnb,
     solve_brute_force,
     solve_value,
@@ -429,15 +432,15 @@ def test_link_budgets_are_computed_on_demand_and_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# margin stage: contenders ordered by distance bounds
+# margin stage: rows visited best-first by distance bounds, through tiles
 # ---------------------------------------------------------------------
 
 
 def eager_contenders(search, lay, w, R, target, cut):
     """The margin stage's contenders with every candidate's exact keys.
 
-    The reference for ``PlacementSearch._contenders``: each candidate with
-    the target weight (and, where it can drop anything, a whole-set fill
+    The reference for ``PlacementSearch._visit``: each candidate with the
+    target weight (and, where it can drop anything, a whole-set fill
     reaching it) gets its exact 1/zeta keys, the screen on the weight within
     ``cut``, and its bound; the rest are sorted by (bound, candidate), and
     those whose fill within ``cut`` falls short are screened out.
@@ -470,7 +473,7 @@ def screen_fill(search, w, R, target):
 
 
 def margin_stage_inputs(search, w, R):
-    """What the margin stage hands ``_contenders``: the scan's objective, the
+    """What the margin stage hands ``_visit``: the scan's objective, the
     weighting's tables, and three cuts: ``inf``, where the stage starts, the
     final candidate's loosest cut, and the final cut."""
     n_h = len(search.hs)
@@ -484,6 +487,21 @@ def margin_stage_inputs(search, w, R):
     c, pool, _ = search._widest_margin(target, wt, R)
     row, lay = divmod(c, n_h)
     return target, wt, (np.inf, loosest(c, search.eligible[lay][row]), loosest(c, pool))
+
+
+def visited(search, lay, wt, target, cut, fill):
+    """The (bound, candidate) pairs the margin stage's visit of layer
+    ``lay`` yields while the cut stays at ``cut``."""
+    n_h = len(search.hs)
+    return [(lb, row * n_h + lay) for lb, row in search._visit(lay, wt, target, fill, lambda: cut)]
+
+
+def retile(monkeypatch, search, side):
+    """Give ``search`` tiles of ``side`` x ``side`` grid rows."""
+    from droneplace import placement
+
+    monkeypatch.setattr(placement, "_TILE", side)
+    search.__dict__.pop("_tiles", None)  # built again by the next visit
 
 
 def lattice_users(mode):
@@ -509,9 +527,9 @@ LATTICE_GRID = dict(bounds=AreaBounds(0.0, 1000.0, 0.0, 1000.0), h_max_m=200.0, 
 
 
 def assert_contenders_cover(search, lay, w, R, target, cut, got):
-    """``got``, what ``_contenders`` yielded, is sorted by (bound,
-    candidate) and holds every candidate the exact keys keep, with a lower
-    bound at most its exact bound. Returns how many the exact keys keep."""
+    """``got``, what the visit yielded, is sorted by (bound, candidate) and
+    holds every candidate the exact keys keep, with a lower bound at most
+    its exact bound. Returns how many the exact keys keep."""
     assert got == sorted(got)
     lower = {cand: lb for lb, cand in got}
     eager = eager_contenders(search, lay, w, R, target, cut)
@@ -522,9 +540,8 @@ def assert_contenders_cover(search, lay, w, R, target, cut, got):
 
 @pytest.mark.parametrize("seed", [0, 4, 14, 25, 28])
 def test_contenders_cover_the_eager_order(seed):
-    """Every candidate the exact keys keep comes out of ``_contenders``,
-    with a lower bound at most its exact bound, and the list is sorted by
-    (bound, candidate)."""
+    """Every candidate the exact keys keep comes out of the visit, with a
+    lower bound at most its exact bound, in (bound, candidate) order."""
     cfg = load_config()
     R = cfg.system.backhaul_mbps
     covered = 0
@@ -536,21 +553,22 @@ def test_contenders_cover_the_eager_order(seed):
         fill = screen_fill(search, w, R, target)
         for lay in range(len(search.hs)):
             for cut in cuts:
-                got = list(search._contenders(lay, wt, target, float(cut), fill))
+                got = visited(search, lay, wt, target, float(cut), fill)
                 covered += assert_contenders_cover(search, lay, w, R, target, float(cut), got)
     assert covered > 0
 
 
-@pytest.mark.parametrize("screen", [1, 3, 64])
-def test_lazy_contenders_match_the_eager_order_on_exact_ties(monkeypatch, screen):
+@pytest.mark.parametrize("side", [1, 3, 64])
+def test_lazy_contenders_match_the_eager_order_on_exact_ties(monkeypatch, side):
     """On the lattice, at two targets and more cuts (keys an ulp apart, and
-    candidates tied on the bound), screening the candidates in blocks of
-    ``screen`` yields the same contenders as one block does, and they cover
-    the eager order."""
+    candidates tied on the bound), tiles of ``side`` rows a side (64 holds
+    the whole grid) yield the same rows as the default tiles do, and they
+    cover the eager order."""
     from droneplace import placement
 
     sys = default_system(**LATTICE_GRID)
     R = sys.backhaul_mbps
+    default = placement._TILE
     covered = one_ulp = tied = 0
     for mode in ("network_centric", "user_centric"):
         users = lattice_users(mode)
@@ -564,15 +582,53 @@ def test_lazy_contenders_match_the_eager_order_on_exact_ties(monkeypatch, screen
             for t in (target, 4 * min(w)):
                 fill = screen_fill(search, w, R, t)
                 for cut in (*cuts, *np.quantile(finite, [0.25, 0.5, 1.0])):
-                    args = (lay, wt, t, float(cut), fill)
-                    # small blocks put equal bounds on both sides of a block boundary
-                    monkeypatch.setattr(placement, "_CHUNK", screen)
-                    got = list(search._contenders(*args))
-                    monkeypatch.setattr(placement, "_CHUNK", len(wt.sum_w))
-                    assert got == list(search._contenders(*args))
+                    # small tiles put equal bounds in different tiles
+                    retile(monkeypatch, search, side)
+                    got = visited(search, lay, wt, t, float(cut), fill)
+                    retile(monkeypatch, search, default)
+                    assert got == visited(search, lay, wt, t, float(cut), fill)
                     covered += assert_contenders_cover(search, lay, w, R, t, float(cut), got)
                     tied += sum(a[0] == b[0] for a, b in zip(got, got[1:]))
     assert covered > 0 and one_ulp > 0 and tied > 0
+
+
+def tile_cases():
+    """Default seeds 0, 4 and 14, and the lattice, each in both modes."""
+    cfg = load_config()
+    for seed in (0, 4, 14):
+        for mode in ("network_centric", "user_centric"):
+            users, _ = population(cfg.system, cfg.cluster, cfg.rate_set_mbps, seed, mode)
+            yield users, cfg.system, cfg.environment
+    for mode in ("network_centric", "user_centric"):
+        yield lattice_users(mode), default_system(**LATTICE_GRID), URBAN
+
+
+def test_tile_bounds_are_admissible():
+    """At the margin stage's cuts, a tile's bound is at most each member
+    row's distance-screen bound, and a tile the screen drops has no member
+    row the row screen keeps."""
+    dropped = split = 0
+    for users, sys, env in tile_cases():
+        search = PlacementSearch(users, sys, env)
+        w = np.array([u.weight for u in users])
+        R = sys.backhaul_mbps
+        target, wt, cuts = margin_stage_inputs(search, w, R)
+        fill = screen_fill(search, w, R, target)
+        (_, y_spans), d2 = search._tiles
+        rows = np.arange(len(wt.sum_w))
+        ix, iy = np.divmod(rows, len(search.ys))
+        tile_of = ix // _TILE * len(y_spans) + iy // _TILE
+        for lay in range(len(search.hs)):
+            for cut in cuts:
+                kept, lb = search._screen(lay, d2, d2 <= search._outer2[lay], wt, target, cut, fill)
+                tile_lb = np.full(len(d2), np.inf)
+                tile_lb[kept] = lb
+                near, row_lb = search._distance_screen(lay, rows, wt, target, cut, fill)
+                assert np.all(kept[tile_of[near]])
+                assert np.all(tile_lb[tile_of[near]] <= row_lb)
+                dropped += int(np.sum(~kept))
+                split += int(np.sum(kept))
+    assert dropped > 0 and split > 0
 
 
 def exact_bounds(search, lay, rows, w, floor):
@@ -666,6 +722,59 @@ def test_margin_stage_does_not_depend_on_the_visiting_order(monkeypatch, grid, b
         assert res.selected == solve_bnb(inst, prune_below=target - 2 * TIE_EPS).selected
 
 
+def random_margin_case(rng, trial):
+    """A small random grid and population for the margin-stage fuzz test.
+
+    Axis steps rarely divide into whole tiles, a span that is no multiple
+    of the step clamps the last tick, and every tenth grid is one point.
+    Every third population has rates on no value grid; weightings alternate.
+    """
+    step = float(rng.uniform(60.0, 250.0))
+    if trial % 10 == 9:
+        axes = [[float(rng.uniform(0.0, 600.0))], [float(rng.uniform(0.0, 600.0))], [150.0]]
+    else:
+        axes = [_axis_points(0.0, float(rng.uniform(step, 900.0)), step) for _ in range(2)]
+        axes.append(_axis_points(100.0, float(rng.choice([100.0, 180.0, 300.0])), 80.0))
+    n = int(rng.integers(3, 15))
+    rates = rng.uniform(0.1, 2.0, n) if trial % 3 == 0 else rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], n)
+    users = [
+        User(id=i, x_m=float(rng.uniform(-100.0, 1000.0)), y_m=float(rng.uniform(-100.0, 1000.0)),
+             rate_mbps=float(rates[i]))
+        for i in range(n)
+    ]
+    users = assign_weights(users, "user_centric" if trial % 2 else "network_centric")
+    sys = default_system(backhaul_mbps=float(rng.uniform(0.5, 6.0)), bandwidth_mhz=float(rng.uniform(0.3, 3.0)))
+    return sys, users, axes
+
+
+def test_margin_stage_matches_the_grid_order_restatement_on_random_grids(monkeypatch):
+    """Fuzz: on 30 random small grids, at random tile sides, the margin
+    stage picks what :func:`_margin_cut` on every candidate in grid order
+    picks, with rates on and off the value grids and in both weightings."""
+    from droneplace import placement
+
+    rng = np.random.default_rng(2025)
+    compared = off_grid = one_point = 0
+    for trial in range(30):
+        sys, users, axes = random_margin_case(rng, trial)
+        monkeypatch.setattr(placement, "_TILE", int(rng.integers(1, 6)))
+        search = PlacementSearch(users, sys, URBAN, axes=axes)
+        w = np.array([u.weight for u in users])
+        R = sys.backhaul_mbps
+        wt = _Weighting(search, w)
+        target = search._scan(wt, R)
+        if target == 0.0:
+            continue
+        c, pool, _ = search._widest_margin(target, wt, R)
+        want, want_pool = margin_in_grid_order(search, w, R, target)
+        assert c == want, f"trial {trial}"
+        assert np.array_equal(pool, want_pool), f"trial {trial}"
+        compared += 1
+        off_grid += _value_grid(search.rates) is None
+        one_point += search.n_candidates == len(search.hs) == 1
+    assert compared >= 20 and off_grid and one_point
+
+
 def test_margin_stage_keeps_a_pool_whose_fill_is_within_the_room():
     """A backhaul a hair under the two nearby users' rates: the solvers
     serve both within their feasibility slack, but the backhaul-side fill
@@ -712,8 +821,8 @@ def test_margin_cut_matches_solving_every_cut(seed):
         target = search._scan(wt, R)
         top = len(search.hs) - 1
         fill = screen_fill(search, w, R, target)
-        _, first = next(search._contenders(top, wt, target, np.inf, fill))
-        for lay, row in ((top, first // len(search.hs)), (0, int(np.argmax(wt.sum_w[:, 0])))):
+        _, first = next(search._visit(top, wt, target, fill, lambda: np.inf))
+        for lay, row in ((top, first), (0, int(np.argmax(wt.sum_w[:, 0])))):
             el = search.eligible[lay][row]
             args = (w[el], search.rates[el], search.bw_rows(lay, [row])[0][el], R, B, target)
             cuts, reached = cuts_reached(*args)

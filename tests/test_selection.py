@@ -199,8 +199,8 @@ def test_matches_brute_force_under_heavy_class_repetition():
 def test_value_falls_back_to_the_selection_search_off_the_class_paths(monkeypatch):
     """Weights equal to rates off every value grid, and more classes than
     ``MAX_CLASSES``, go to ``solve_bnb``; the paper's two weightings on the
-    default rate set do not, and weights equal to rates on the 0.01 grid
-    take the rate-sum DP. The value is the optimum either way."""
+    default rate set do not, and weights equal to rates on the 0.01 and
+    0.001 grids take the rate-sum DP. The value is the optimum either way."""
     calls, dp = [], []
     monkeypatch.setattr(selection, "solve_bnb", lambda *a: calls.append(1) or solve_bnb(*a))
     least_needs = selection._least_needs
@@ -210,14 +210,15 @@ def test_value_falls_back_to_the_selection_search_off_the_class_paths(monkeypatc
         kind = ("off_grid", "many_classes", "classes", "fine_grid")[trial % 4]
         n = int(rng.integers(4, 13))
         if kind == "off_grid":
-            rates = rng.choice([0.155, 0.255, 0.355], n)
+            rates = rng.choice([0.1555, 0.2555, 0.3555], n)
             weights = rates
         elif kind == "many_classes":
             steps = np.arange(1, MAX_CLASSES + 2) / 4.0  # one class past the cap
             rates = rng.permutation(np.append(steps, rng.choice(steps, n)))
             weights = np.ones(len(rates))
         elif kind == "fine_grid":
-            rates = rng.choice([0.13, 0.57, 1.01, 1.49, 2.03], n)
+            fine = [0.135, 0.575, 1.015, 1.495, 2.035] if trial // 4 % 2 else [0.13, 0.57, 1.01, 1.49, 2.03]
+            rates = rng.choice(fine, n)
             weights = rates
         else:
             rates = rng.choice([0.1, 0.5, 1.0, 1.5, 2.0], n)

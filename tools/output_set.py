@@ -10,6 +10,10 @@ script), and writes under OUTDIR:
 - ``place_ten_rates_network_centric/`` and ``place_ten_rates_user_centric/``:
   ``place`` for seeds 0-7 over a 10-value rate set (0.1, 0.3, ..., 1.7,
   2.0 Mbps), more rate classes than the value-only count solvers take;
+- ``place_step70_network_centric/``, ``place_step130_network_centric/`` and
+  their ``user_centric`` twins: ``place`` for seeds 0-7 at ``grid_step_m``
+  70 and 130, whose axes end in a clamped short step and split into
+  margin-stage tiles with a partial last one;
 - ``sweep_threads1/`` and ``sweep_threads2/``: network-centric
   ``sweep-backhaul`` for seeds 0 and 1, one seed per invocation, at
   ``--threads`` 1 and 2;
@@ -52,6 +56,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PLACE_SEEDS = range(64)
 TEN_RATES_SEEDS = range(8)
 TEN_RATES = "rate_set_mbps=[0.1,0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,2.0]"
+GRID_STEPS = (70, 130)
+GRID_STEP_SEEDS = range(8)
 SWEEP_SEEDS = (0, 1)
 
 
@@ -63,6 +69,10 @@ def invocations(out: Path):
         for seed in TEN_RATES_SEEDS:
             yield ["place", "--mode", mode, "--seed", str(seed), "--set", TEN_RATES,
                    "--output-dir", str(out / f"place_ten_rates_{mode}")]
+        for step in GRID_STEPS:
+            for seed in GRID_STEP_SEEDS:
+                yield ["place", "--mode", mode, "--seed", str(seed), "--set", f"grid_step_m={step}",
+                       "--output-dir", str(out / f"place_step{step}_{mode}")]
     for threads in (1, 2):
         for seed in SWEEP_SEEDS:
             yield ["sweep-backhaul", "--mode", "network_centric", "--seed", str(seed),
